@@ -1,6 +1,6 @@
 // Campaign-service throughput: cold (every cell executes) vs warm (every
 // cell answered by the content-addressed store). The warm pass resubmits
-// the same cell set with different *engine* knobs — jobs/batch/stride are
+// the same cell set with different *engine* knobs — jobs/stride are
 // not key material, so the store must still answer — and the artifact
 // asserts the service contract in-place: warm bytes byte-identical to
 // cold, and zero engine trials executed while warm.
@@ -102,7 +102,6 @@ int main() {
   std::vector<fault::CampaignCell> retuned = cells;
   for (fault::CampaignCell& cell : retuned) {
     cell.jobs = 2;
-    cell.batch = 1;
     cell.ckpt_stride = 16;
   }
   const PassResult warm = run_pass(daemon, retuned);

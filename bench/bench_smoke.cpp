@@ -188,10 +188,10 @@ void check_flow_accuracy(Json& artifact) {
   }
 }
 
-/// Schema + invariant check on bench_vm's dispatch/batch telemetry: the
-/// wallclock section must carry the per-technique dispatch rates and the
-/// batch-width sweep, and the metrics section must assert that switch vs
-/// threaded dispatch and scalar vs batched campaigns agree exactly.
+/// Schema + invariant check on bench_vm's dispatch telemetry: the
+/// wallclock section must carry the per-technique dispatch rates and
+/// campaign throughputs, and the metrics section must assert that switch
+/// vs threaded dispatch and cold vs checkpointed campaigns agree exactly.
 void check_bench_vm(const Json& artifact) {
   const Json* metrics = artifact.find("metrics");
   const Json* wallclock = artifact.find("wallclock");
@@ -208,7 +208,7 @@ void check_bench_vm(const Json& artifact) {
     for (const auto& [technique, flag] : flags->fields()) {
       if (!flag.as_bool()) {
         fail("bench_vm " + std::string(section) + "['" + technique +
-             "'] is false — dispatch/batch paths diverged from the "
+             "'] is false — dispatch/checkpoint paths diverged from the "
              "reference interpreter");
       }
     }
@@ -246,24 +246,6 @@ void check_bench_vm(const Json& artifact) {
       if (ff == nullptr || ff->find("rejoins") == nullptr) {
         fail("bench_vm campaign_throughput['" + technique +
              "'] lacks ckpt.rejoins");
-      }
-    }
-  }
-  const Json* batch = wallclock->find("batch");
-  if (batch == nullptr) {
-    fail("bench_vm wallclock lacks a 'batch' section");
-  } else {
-    for (const char* width : {"width1", "width4", "width8"}) {
-      const Json* row = batch->find(width);
-      if (row == nullptr) {
-        fail(std::string("bench_vm batch section lacks '") + width + "'");
-        continue;
-      }
-      for (const char* key : {"trials_per_second", "speedup_vs_width1"}) {
-        if (row->find(key) == nullptr) {
-          fail(std::string("bench_vm batch['") + width + "'] lacks '" +
-               key + "'");
-        }
       }
     }
   }

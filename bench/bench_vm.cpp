@@ -1,9 +1,9 @@
 // Substrate microbenchmarks: VM interpretation throughput (switch vs
 // threaded dispatch), the cost of enabling the timing model, and campaign
-// trial throughput cold vs checkpointed vs lockstep-batched, per
-// technique. Not a paper experiment, but documents what one
+// trial throughput cold vs checkpointed vs threaded with golden rejoin,
+// per technique. Not a paper experiment, but documents what one
 // fault-injection trial costs — and what the snapshot/fast-forward engine
-// and the threaded/batched inner loop buy back.
+// and the threaded inner loop buy back.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -142,9 +142,8 @@ int main(int argc, char** argv) {
     //   switch_scalar checkpointed, switch dispatch, scalar, golden
     //                 rejoin off — the pre-threading engine (PR 4's
     //                 "ckpt" row), the speedup baseline
-    //   default       checkpointed, threaded dispatch, FERRUM_BATCH-wide
-    //                 lockstep, golden rejoin — what run_campaign does
-    //                 out of the box
+    //   default       checkpointed, threaded dispatch, golden rejoin —
+    //                 what run_campaign does out of the box
     // Outcome counts are deterministic and identical on every path
     // (asserted into `metrics`); trials/sec and speedups are wall-clock.
     {
@@ -152,7 +151,6 @@ int main(int argc, char** argv) {
       const int jobs = benchutil::env_jobs();
       const int stride_knob = benchutil::env_ckpt_stride();
       const int stride = stride_knob == 0 ? 64 : stride_knob;
-      const int batch = benchutil::env_batch();
       for (Technique technique : techniques) {
         auto build = pipeline::build(w.source, technique);
         fault::CampaignOptions campaign;
@@ -160,14 +158,12 @@ int main(int argc, char** argv) {
         campaign.jobs = jobs;
         campaign.vm.dispatch = vm::DispatchMode::kSwitch;
         campaign.vm.golden_rejoin = false;
-        campaign.batch = 1;
         campaign.ckpt_stride = 0;
         const auto cold = fault::run_campaign(build.program, campaign);
         campaign.ckpt_stride = stride;
         const auto scalar = fault::run_campaign(build.program, campaign);
         campaign.vm.dispatch = vm::DispatchMode::kAuto;
         campaign.vm.golden_rejoin = true;
-        campaign.batch = batch;
         const auto fast = fault::run_campaign(build.program, campaign);
 
         const char* name = pipeline::technique_name(technique);
@@ -179,7 +175,6 @@ int main(int argc, char** argv) {
 
         telemetry::Json row = telemetry::Json::object();
         row["trials"] = trials;
-        row["batch"] = batch;
         const double cold_tps = trials_per_second(cold, trials);
         const double scalar_tps = trials_per_second(scalar, trials);
         const double fast_tps = trials_per_second(fast, trials);
@@ -194,39 +189,10 @@ int main(int argc, char** argv) {
         report.wallclock()["campaign_throughput"][name] = row;
         std::printf(
             "campaign %-8s cold %9.1f trials/s   ckpt+switch %9.1f "
-            "trials/s   ckpt+threaded+batch%d %9.1f trials/s   vs-scalar "
+            "trials/s   ckpt+threaded %9.1f trials/s   vs-scalar "
             "%5.2fx\n",
-            name, cold_tps, scalar_tps, batch, fast_tps,
+            name, cold_tps, scalar_tps, fast_tps,
             scalar_tps > 0.0 ? fast_tps / scalar_tps : 0.0);
-      }
-
-      // Batch-width sweep on the FERRUM build: trials/s at widths
-      // {1, 4, 8} under the default (threaded) dispatch, all
-      // checkpointed — isolates what lockstep prefix sharing adds on
-      // top of threading.
-      {
-        auto build = pipeline::build(w.source, Technique::kFerrum);
-        fault::CampaignOptions campaign;
-        campaign.trials = trials;
-        campaign.jobs = jobs;
-        campaign.ckpt_stride = stride;
-        double width1_tps = 0.0;
-        for (int width : {1, 4, 8}) {
-          campaign.batch = width;
-          const auto result = fault::run_campaign(build.program, campaign);
-          const double tps = trials_per_second(result, trials);
-          if (width == 1) width1_tps = tps;
-          telemetry::Json row = telemetry::Json::object();
-          row["trials_per_second"] = tps;
-          row["speedup_vs_width1"] =
-              width1_tps > 0.0 ? tps / width1_tps : 0.0;
-          row["ckpt"] = telemetry::wallclock_json(result);
-          report.wallclock()["batch"]["width" + std::to_string(width)] =
-              row;
-          std::printf("batch    width=%d %9.1f trials/s   vs width1 "
-                      "%5.2fx\n",
-                      width, tps, width1_tps > 0.0 ? tps / width1_tps : 0.0);
-        }
       }
     }
     report.write();

@@ -230,7 +230,6 @@ int main() {
           std::vector<fault::CampaignCell> retuned = cells;
           for (fault::CampaignCell& cell : retuned) {
             cell.jobs = 4;
-            cell.batch = 1;
             cell.ckpt_stride = 8;
             cell.dispatch = "switch";
           }

@@ -88,7 +88,7 @@ int usage(const char* argv0) {
                "<file.c|file.s>\n"
                "       [--tech=none|ir-eddi|hybrid|ferrum]\n"
                "       [--trials=N] [--jobs=N] [--ckpt-stride=N] [--timing]\n"
-               "       [--dispatch=switch|threaded] [--batch=N]\n"
+               "       [--dispatch=switch|threaded]\n"
                "       [--max-half-width=X]\n"
                "       [--lint[=json]] [--summary] [--prune] "
                "[--stats=<file.json>]\n"
@@ -140,14 +140,12 @@ int usage(const char* argv0) {
                "bit-identical for every stride;\n"
                " --dispatch picks the interpreter inner loop (defaults "
                "to FERRUM_DISPATCH, then threaded when the build has it); "
-               "--batch defaults to FERRUM_BATCH, then 8 — lockstep lanes "
-               "per campaign/audit engine call, 1 = scalar; both knobs "
-               "never change results, only wall-clock;\n"
+               "it never changes results, only wall-clock;\n"
                " --max-half-width (default FERRUM_CI_TARGET, then 0 = "
                "off) stops a campaign at the first power-of-two trial "
                "boundary where every outcome-rate 95%% Wilson half-width "
                "is <= the target — deterministic (the stopped count is a "
-               "pure function of the cell, never of jobs/batch/dispatch) "
+               "pure function of the cell, never of jobs/dispatch) "
                "and cache-key material; incompatible with --prune;\n"
                " --stats writes run/campaign/audit telemetry as JSON — "
                "the 'metrics' section is deterministic, 'wallclock' is "
@@ -255,7 +253,6 @@ int main(int argc, char** argv) {
   int trials = env_trials();
   int jobs = env_jobs();
   int ckpt_stride = env_ckpt_stride();
-  int batch = env_batch();
   double max_half_width = env_ci_target();
   vm::DispatchMode dispatch = vm::DispatchMode::kAuto;
   std::string dispatch_name = "auto";
@@ -322,11 +319,6 @@ int main(int argc, char** argv) {
       if (!parse_int(arg.c_str() + 14, ckpt_stride) || ckpt_stride < 0) {
         std::fprintf(stderr, "bad --ckpt-stride value '%s'\n",
                      arg.c_str() + 14);
-        return 2;
-      }
-    } else if (arg.rfind("--batch=", 0) == 0) {
-      if (!parse_int(arg.c_str() + 8, batch) || batch < 1) {
-        std::fprintf(stderr, "bad --batch value '%s'\n", arg.c_str() + 8);
         return 2;
       }
     } else if (arg.rfind("--max-half-width=", 0) == 0) {
@@ -416,7 +408,6 @@ int main(int argc, char** argv) {
     // daemon returns the same stored bytes for every value of these.
     cell.jobs = jobs;
     cell.ckpt_stride = ckpt_stride;
-    cell.batch = batch;
     cell.dispatch = dispatch_name;
     service::Client client = service::Client::connect(socket_path, error);
     if (!client.valid()) {
@@ -758,7 +749,6 @@ int main(int argc, char** argv) {
     fault::AuditOptions audit_options;
     audit_options.jobs = jobs;
     audit_options.ckpt_stride = ckpt_stride;
-    audit_options.batch = batch;
     audit_options.vm.dispatch = dispatch;
     check::prune::PruneReport prune_report;
     if (prune) {
@@ -817,7 +807,6 @@ int main(int argc, char** argv) {
     options.trials = static_cast<std::uint64_t>(trials);
     options.jobs = jobs;
     options.ckpt_stride = ckpt_stride;
-    options.batch = batch;
     options.vm.dispatch = dispatch;
     options.vm.fault_store_data = store_data;
     options.max_half_width = max_half_width;
@@ -896,7 +885,6 @@ int main(int argc, char** argv) {
     options.trials = trials;
     options.jobs = jobs;
     options.ckpt_stride = ckpt_stride;
-    options.batch = batch;
     options.vm.dispatch = dispatch;
     options.max_half_width = max_half_width;
     if (prune && max_half_width > 0.0) {

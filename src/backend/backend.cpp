@@ -174,8 +174,15 @@ class FunctionLowering {
     for (const auto& arg : fn_.args()) {
       arg_slot_[arg.get()] = allocate_frame(8);
     }
-    for (const ir::Instruction* value : escaping_) {
-      escape_slot_[value] = allocate_frame(8);
+    // Program order, not escaping_'s hash order: the set is keyed by heap
+    // address, so iterating it would make the frame layout (and with it
+    // the printed program and its hash) differ between builds.
+    for (const auto& block : fn_.blocks()) {
+      for (const auto& inst : block->instructions()) {
+        if (escaping_.count(inst.get()) != 0) {
+          escape_slot_[inst.get()] = allocate_frame(8);
+        }
+      }
     }
   }
 

@@ -5,10 +5,8 @@
 
 namespace ferrum::fault {
 
-double wilson_half_width(int successes, int trials) {
-  if (trials <= 0) return 0.5;
-  // Same construction as wilson_interval (campaign.cpp); duplicated here
-  // so adaptive.h stays free of the campaign header cycle.
+std::pair<double, double> wilson_interval(int successes, int trials) {
+  if (trials <= 0) return {0.0, 1.0};
   const double z = 1.959963985;  // 97.5th normal percentile
   const double n = trials;
   const double p = static_cast<double>(successes) / n;
@@ -17,8 +15,13 @@ double wilson_half_width(int successes, int trials) {
   const double centre = (p + z2 / (2.0 * n)) / denom;
   const double margin =
       z * std::sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n)) / denom;
-  const double lo = std::max(0.0, centre - margin);
-  const double hi = std::min(1.0, centre + margin);
+  const double lo = centre - margin;
+  const double hi = centre + margin;
+  return {lo < 0.0 ? 0.0 : lo, hi > 1.0 ? 1.0 : hi};
+}
+
+double wilson_half_width(int successes, int trials) {
+  const auto [lo, hi] = wilson_interval(successes, trials);
   return (hi - lo) / 2.0;
 }
 

@@ -12,12 +12,13 @@
 // is <= the target. Because the trial order is fixed by the seed before
 // any worker runs and boundaries depend only on (planned, rule), the
 // stopped trial count is a pure function of (program, fault model, seed,
-// target half-width): jobs, ckpt_stride, batch and dispatch cannot move
-// it, so early-stopped results stay byte-identical across engine knobs —
-// the same invariant the rest of the stack already holds.
+// target half-width): jobs, ckpt_stride and dispatch cannot move it, so
+// early-stopped results stay byte-identical across engine knobs — the
+// same invariant the rest of the stack already holds.
 #pragma once
 
 #include <array>
+#include <utility>
 #include <vector>
 
 namespace ferrum::fault {
@@ -39,9 +40,13 @@ struct StopRule {
   bool enabled() const { return max_half_width > 0.0; }
 };
 
-/// Half-width of the 95% Wilson score interval, after clamping the
-/// interval to [0, 1] (matching wilson_interval in campaign.h).
-/// Returns 0.5 for trials <= 0 (the vacuous [0, 1] interval).
+/// 95% Wilson score interval for a binomial proportion, clamped to
+/// [0, 1] — how the paper's "1000 faults for statistical significance"
+/// translates into error bars. [0, 1] for trials <= 0.
+std::pair<double, double> wilson_interval(int successes, int trials);
+
+/// Half the width of wilson_interval: 0.5 for trials <= 0 (the vacuous
+/// [0, 1] interval).
 double wilson_half_width(int successes, int trials);
 
 /// Largest Wilson half-width over the four outcome rates given the

@@ -35,13 +35,6 @@ struct AuditOptions {
   /// that makes larger programs auditable. 0 disables fast-forwarding;
   /// the report is bit-identical either way.
   int ckpt_stride = 64;
-  /// Lockstep batch width (FERRUM_BATCH): each worker hands `batch`
-  /// (site, bit) probes at a time to vm::Engine::run_batch, which walks
-  /// their shared fault-free prefix once and forks a journaled lane per
-  /// probe. <= 1 keeps every probe on the scalar run/run_from path. The
-  /// report is bit-identical for every width — the knob, like jobs and
-  /// ckpt_stride, only moves wall-clock.
-  int batch = 8;
   /// Probe only every Nth dynamic site (ids congruent to 0 mod N) — a
   /// deterministic subsample that keeps the exhaustive frame's exactness
   /// on the sites it does probe, for cross-validation harnesses that
@@ -86,6 +79,10 @@ struct AuditEscape {
 /// / silent data corruption).
 enum class ProbeOutcome : std::uint8_t { kDetected, kCrashed, kBenign, kSdc };
 constexpr int kProbeOutcomeCount = 4;
+
+/// Classifies one probe run against the golden output.
+ProbeOutcome probe_outcome(const vm::VmResult& run,
+                           const std::vector<std::uint64_t>& golden_output);
 
 /// Probe-outcome tally of one *static* fault site across every dynamic
 /// occurrence and probe bit the audit exercised. The coordinates match
@@ -160,7 +157,8 @@ struct AuditReport {
   std::vector<SiteOutcome> site_outcomes;
 
   // --- Observability only (scheduling-dependent, NOT deterministic) ---
-  /// Sites swept by each pool worker (index 0 = the calling thread).
+  /// Probes (exhaustive) or pilots (prune mode) run by each pool worker
+  /// (index 0 = the calling thread).
   std::vector<std::uint64_t> sites_per_worker;
   /// Wall-clock seconds spent sweeping the sites.
   double wall_seconds = 0.0;

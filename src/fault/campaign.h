@@ -93,15 +93,6 @@ struct CampaignOptions {
   /// fast-forwarding (cold trials). Any value yields bit-identical
   /// deterministic results — the stride only moves wall-clock.
   int ckpt_stride = 64;
-  /// Lockstep batch width (FERRUM_BATCH): each worker hands `batch`
-  /// trials at a time to vm::Engine::run_batch, which walks their shared
-  /// fault-free prefix once, forks a lane at each trial's first fault
-  /// site and undoes the lane's stores with a page journal. Values <= 1
-  /// keep every trial on the scalar run/run_from path (the identical
-  /// pre-batching code path). Like jobs and ckpt_stride the knob only
-  /// moves wall-clock: results are bit-identical for every width, and
-  /// timing/profile/trace runs fall back to scalar automatically.
-  int batch = 8;
   /// Optional live observer: each finished trial run bumps one outcome
   /// counter (relaxed atomics, snapshot whenever). Must outlive the
   /// run_campaign call. Purely observational — attaching it never
@@ -123,7 +114,7 @@ struct CampaignOptions {
   /// order (see fault/adaptive.h) and stops at the first boundary where
   /// every half-width is <= this target. The stopped trial count is a
   /// pure function of (program, fault model, seed, target) — invariant
-  /// to jobs/ckpt_stride/batch/dispatch like the full result. Cannot be
+  /// to jobs/ckpt_stride/dispatch like the full result. Cannot be
   /// combined with prune (throws std::invalid_argument): pilot
   /// extrapolation answers trials out of canonical order, so a prefix
   /// stop rule has no meaning there.
@@ -214,10 +205,6 @@ struct CampaignResult {
   /// 95% Wilson confidence interval for the SDC rate.
   std::pair<double, double> sdc_rate_ci() const;
 };
-
-/// 95% Wilson score interval for a binomial proportion — how the paper's
-/// "1000 faults for statistical significance" translates into error bars.
-std::pair<double, double> wilson_interval(int successes, int trials);
 
 /// Runs `options.trials` single-fault executions. The program must run
 /// clean (golden run) first; throws std::runtime_error otherwise.

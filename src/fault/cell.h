@@ -12,7 +12,7 @@
 //     stop rule (max_half_width): an early-stopped result covers a
 //     different trial prefix, so it must never alias the full-budget one;
 //   * every knob that is proven result-invariant is EXCLUDED — jobs,
-//     ckpt_stride, batch, dispatch only move wall-clock (asserted down to
+//     ckpt_stride, dispatch only move wall-clock (asserted down to
 //     byte-identical campaign JSON by tests/test_engine.cpp), so a warm
 //     query with different engine knobs must still hit.
 // The material is versioned ("ferrum-cell-v2"): widening the fault model
@@ -55,7 +55,6 @@ struct CampaignCell {
   // Engine knobs — result-invariant, never key material.
   int jobs = 1;
   int ckpt_stride = 64;
-  int batch = 8;
   std::string dispatch = "auto";  // auto | switch | threaded
 };
 

@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <limits>
 #include <map>
-#include <memory>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -18,9 +17,9 @@
 #include "fault/audit.h"
 #include "fault/prune_map.h"
 #include "fault/step_budget.h"
+#include "fault/trial_executor.h"
 #include "masm/cfg.h"
 #include "support/hash.h"
-#include "support/parallel.h"
 #include "support/rng.h"
 #include "support/str.h"
 #include "vm/engine.h"
@@ -30,13 +29,6 @@ namespace ferrum::fault {
 namespace {
 
 using detail::mix64;
-
-/// Effective lockstep width for Engine::run_batch (the audit gate).
-std::size_t batch_width(int batch, const vm::VmOptions& vm) {
-  if (batch <= 1) return 1;
-  if (vm.timing || vm.profile || vm.trace_limit != 0) return 1;
-  return static_cast<std::size_t>(batch);
-}
 
 std::string hex16(std::uint64_t value) {
   char buffer[17];
@@ -517,82 +509,32 @@ ComposeReport compose_impl(const masm::AsmProgram& program,
 
   // Execute the cold work across the pool, one boundary round at a time.
   // Each item records into its own slot, so the per-section reduction
-  // below (commutative count sums) is identical for every
-  // jobs/batch/dispatch choice — and so is the stop decision, which only
-  // reads those slots at boundaries fixed before anything ran.
+  // below (commutative count sums) is identical for every jobs/dispatch
+  // choice — and so is the stop decision, which only reads those slots
+  // at boundaries fixed before anything ran. `specs` is sized for the
+  // full plan up front, so the executor's span stays valid while each
+  // round fills its own stretch of it.
   vm::VmOptions faulty = options.vm;
   faulty.max_steps = max_steps;
   faulty.track_touched_functions = caching;
+  std::size_t planned_items = 0;
+  for (const std::vector<WorkItem>& items : plan) planned_items += items.size();
+  std::vector<vm::FaultSpec> specs(planned_items);
   std::vector<WorkItem> work;
   std::vector<std::uint8_t> outcomes;
   std::vector<std::uint64_t> touched;
   std::vector<std::uint64_t> rejoin_sites;
   std::vector<std::uint8_t> rejoined;
-  ThreadPool pool(options.jobs);
-  std::vector<std::unique_ptr<vm::Engine>> engines(
-      static_cast<std::size_t>(pool.workers()));
+  TrialExecutor executor(specs, 1, decoded, fast_forward ? &ckpts : nullptr,
+                         faulty, options.jobs);
   const auto wall_start = std::chrono::steady_clock::now();
-  const std::size_t width = batch_width(options.batch, options.vm);
-  const auto run_round = [&](const std::size_t round_begin) {
-    pool.parallel_for_indexed(
-        work.size() - round_begin,
-        [&, round_begin](int worker, std::size_t begin, std::size_t end) {
-          begin += round_begin;
-          end += round_begin;
-        auto& engine = engines[static_cast<std::size_t>(worker)];
-        if (engine == nullptr) {
-          engine = std::make_unique<vm::Engine>(decoded, faulty);
-        }
-        const auto record = [&](std::size_t w, const vm::VmResult& run) {
-          ProbeOutcome outcome;
-          if (run.status == vm::ExitStatus::kDetected) {
-            outcome = ProbeOutcome::kDetected;
-          } else if (!run.ok()) {
-            outcome = ProbeOutcome::kCrashed;
-          } else if (run.output == golden.output) {
-            outcome = ProbeOutcome::kBenign;
-          } else {
-            outcome = ProbeOutcome::kSdc;
-          }
-          outcomes[w] = static_cast<std::uint8_t>(outcome);
-          if (caching) {
-            touched[w] = run.touched_functions;
-            rejoined[w] = run.rejoined ? 1 : 0;
-            rejoin_sites[w] = run.rejoin_site;
-          }
-        };
-        if (width <= 1) {
-          for (std::size_t w = begin; w < end; ++w) {
-            vm::FaultSpec fault;
-            fault.site = work[w].site;
-            fault.bit = work[w].bit;
-            fault.burst = options.burst;
-            const vm::VmResult run =
-                fast_forward ? engine->run_from(ckpts, faulty, &fault, 1)
-                             : engine->run(faulty, &fault, 1);
-            record(w, run);
-          }
-          return;
-        }
-        std::vector<vm::FaultSpec> group(width);
-        std::vector<vm::Engine::BatchTrial> lanes(width);
-        std::vector<vm::VmResult> runs(width);
-        for (std::size_t base = begin; base < end; base += width) {
-          const std::size_t n = std::min(width, end - base);
-          for (std::size_t lane = 0; lane < n; ++lane) {
-            group[lane].site = work[base + lane].site;
-            group[lane].bit = work[base + lane].bit;
-            group[lane].burst = options.burst;
-            lanes[lane].faults = &group[lane];
-            lanes[lane].fault_count = 1;
-          }
-          engine->run_batch(fast_forward ? &ckpts : nullptr, faulty,
-                            lanes.data(), n, runs.data());
-          for (std::size_t lane = 0; lane < n; ++lane) {
-            record(base + lane, runs[lane]);
-          }
-        }
-      });
+  const auto record = [&](std::size_t w, const vm::VmResult& run) {
+    outcomes[w] = static_cast<std::uint8_t>(probe_outcome(run, golden.output));
+    if (caching) {
+      touched[w] = run.touched_functions;
+      rejoined[w] = run.rejoined ? 1 : 0;
+      rejoin_sites[w] = run.rejoin_site;
+    }
   };
   while (true) {
     // Collect every active section's next block into one flat round.
@@ -607,19 +549,24 @@ ComposeReport compose_impl(const masm::AsmProgram& program,
     }
     if (work.size() == round_begin) break;
     // Site-ascending within the round so one worker's consecutive
-    // lockstep lanes share most of their golden-walk prefix.
+    // trials restore neighbouring checkpoints.
     std::stable_sort(work.begin() + static_cast<std::ptrdiff_t>(round_begin),
                      work.end(),
                      [](const WorkItem& a, const WorkItem& b) {
                        return a.site < b.site;
                      });
+    for (std::size_t w = round_begin; w < work.size(); ++w) {
+      specs[w].site = work[w].site;
+      specs[w].bit = work[w].bit;
+      specs[w].burst = options.burst;
+    }
     outcomes.resize(work.size(), 0);
     if (caching) {
       touched.resize(work.size(), 0);
       rejoin_sites.resize(work.size(), 0);
       rejoined.resize(work.size(), 0);
     }
-    run_round(round_begin);
+    executor.run(round_begin, work.size(), record);
     // Tally the round into each section's running counts, then evaluate
     // each active section's rule at the boundary it just reached.
     for (std::size_t w = round_begin; w < work.size(); ++w) {
@@ -644,12 +591,7 @@ ComposeReport compose_impl(const masm::AsmProgram& program,
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wall_start)
           .count();
-  report.ckpt.stride = fast_forward ? static_cast<int>(ckpts.stride()) : 0;
-  report.ckpt.checkpoints = ckpts.size();
-  report.ckpt.snapshot_bytes = ckpts.snapshot_bytes();
-  for (const auto& engine : engines) {
-    if (engine != nullptr) report.ckpt.ff.merge(engine->stats());
-  }
+  report.ckpt = executor.telemetry();
   report.trials_executed = work.size();
 
   // Per-section reduction of the cold work, then the composition fold.

@@ -40,8 +40,9 @@
 
 namespace ferrum::service {
 
-/// Protocol revision; bumped on any frame-layout or payload change.
-constexpr std::uint32_t kProtoVersion = 1;
+/// Protocol revision; bumped on any frame-layout or payload change
+/// (v2 dropped the cell's `batch` field).
+constexpr std::uint32_t kProtoVersion = 2;
 
 /// Frames larger than this are treated as protocol corruption.
 constexpr std::uint32_t kMaxFrameBytes = 64u << 20;

@@ -55,12 +55,6 @@ int env_jobs();
 /// wall-clock time — results are bit-identical for every stride.
 int env_ckpt_stride(int fallback = 64);
 
-/// FERRUM_BATCH — lockstep batch width for campaign/audit trial
-/// execution (vm::Engine::run_batch lanes per call). Floor 1: one lane
-/// is the scalar path. Like FERRUM_JOBS and FERRUM_CKPT_STRIDE the knob
-/// only moves wall-clock time; results are bit-identical for any width.
-int env_batch(int fallback = 8);
-
 /// FERRUM_CI_TARGET — adaptive stop-rule target: the campaign stops at
 /// the first power-of-two boundary where every outcome-rate Wilson
 /// half-width is <= this value (fault/adaptive.h). Range [0, 0.5); 0

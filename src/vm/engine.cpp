@@ -291,8 +291,7 @@ class Engine::Impl {
         memory_(options.memory_bytes),
         npages_((options.memory_bytes + kCkptPageSize - 1) / kCkptPageSize),
         current_page_(npages_),
-        dirty_(npages_, 0),
-        journaled_(npages_, 0) {
+        dirty_(npages_, 0) {
     compute_layout();
   }
 
@@ -356,129 +355,6 @@ class Engine::Impl {
   /// start.
   static bool is_start_state(const Checkpoint& c) {
     return c.fi_sites == 0 && c.steps == 0;
-  }
-
-  void run_batch(const CheckpointSet* checkpoints, const VmOptions& options,
-                 const Engine::BatchTrial* trials, std::size_t count,
-                 VmResult* results, FastForwardStats& stats) {
-    if (count == 0) return;
-    // Per-trial introspection (profile/timing/trace) cannot ride a
-    // shared walk; fall back to scalar execution — results identical.
-    if (options.timing || options.profile || options.trace_limit != 0) {
-      const bool ff = checkpoints != nullptr && !checkpoints->empty();
-      for (std::size_t i = 0; i < count; ++i) {
-        results[i] = ff ? run_from(*checkpoints, options, trials[i].faults,
-                                   trials[i].fault_count, stats)
-                        : run(options, trials[i].faults,
-                              trials[i].fault_count, stats);
-      }
-      return;
-    }
-
-    // Lane order: ascending first-fault site, ties in input order, so
-    // the shared walk only ever moves forward through the golden stream.
-    struct Lane {
-      std::uint64_t site;
-      std::size_t idx;
-    };
-    std::vector<Lane> lanes(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      std::uint64_t min_site = ~std::uint64_t{0};
-      for (std::size_t k = 0; k < trials[i].fault_count; ++k) {
-        min_site = std::min(min_site, trials[i].faults[k].site);
-      }
-      if (trials[i].fault_count == 0) min_site = 0;
-      lanes[i] = Lane{min_site, i};
-    }
-    std::stable_sort(lanes.begin(), lanes.end(),
-                     [](const Lane& a, const Lane& b) {
-                       return a.site < b.site;
-                     });
-
-    options_ = &options;
-    faults_ = nullptr;
-    fault_count_ = 0;
-    site_observers_ = options.profile || site_pc_sink_ != nullptr ||
-                      state_digest_sink_ != nullptr;
-    touch_track_ = options.track_touched_functions;
-    steps_ = 0;
-    fi_sites_ = 0;
-    fault_step_ = 0;
-    fault_injected_ = false;
-    fault_landing_.reset();
-    output_.clear();
-    trace_.clear();
-    touched_addr_ = 0;
-    store_chain_ = 0;
-    output_chain_ = 0;
-    halted_ = false;
-    timing_.reset();
-    profile_ = VmProfile{};
-    rejoin_ = checkpoints;
-
-    const bool have_ckpts = checkpoints != nullptr && !checkpoints->empty();
-    // Once the golden walk halts (or traps) before a lane's site, that
-    // lane's fault can never fire: its result is the walk's end state.
-    bool walk_over = false;
-    ExitStatus walk_status = ExitStatus::kOk;
-
-    stats.batches += 1;
-    stats.lanes += count;
-
-    try {
-      if (have_ckpts &&
-          !is_start_state(checkpoints->nearest_at_or_before(lanes[0].site))) {
-        restore_checkpoint(checkpoints->nearest_at_or_before(lanes[0].site));
-      } else {
-        // No checkpoints, or the nearest one is checkpoint 0 — whose
-        // state equals the cold start (see run_from): skip the full
-        // restore and walk the golden prefix directly.
-        start_cold();
-      }
-    } catch (const Trap& trap) {
-      walk_over = true;
-      walk_status = trap.status;
-    }
-
-    ForkPoint fork;
-    for (const Lane& lane : lanes) {
-      if (!walk_over) {
-        // Hop forward through a checkpoint when one sits closer to the
-        // lane's site than the current walk position.
-        if (have_ckpts) {
-          const Checkpoint& c = checkpoints->nearest_at_or_before(lane.site);
-          if (c.fi_sites > fi_sites_) restore_checkpoint(c);
-        }
-        const std::uint64_t walk_start_steps = steps_;
-        try {
-          if (loop(nullptr, lane.site) == LoopExit::kHalted) walk_over = true;
-        } catch (const Trap& trap) {
-          walk_over = true;
-          walk_status = trap.status;
-        }
-        stats.walk_steps += steps_ - walk_start_steps;
-      }
-      VmResult& result = results[lane.idx];
-      if (walk_over) {
-        result = VmResult{};
-        result.status = walk_status;
-        if (walk_status == ExitStatus::kOk) {
-          result.return_value =
-              static_cast<std::int64_t>(gpr_[static_cast<int>(Gpr::kRax)]);
-        }
-        result.output = output_;
-        result.steps = steps_;
-        result.fi_sites = fi_sites_;
-        stats.trials += 1;
-        stats.steps_skipped += steps_;
-        continue;
-      }
-      save_fork(fork);
-      run_suffix(trials[lane.idx], result, stats);
-      restore_fork(fork);
-    }
-    options_ = nullptr;
-    rejoin_ = nullptr;
   }
 
   void set_site_pc_sink(std::vector<std::int32_t>* sink) {
@@ -608,117 +484,6 @@ class Engine::Impl {
 
   static std::uint64_t last_site(const CheckpointSet& out) {
     return out.nearest_at_or_before(~std::uint64_t{0}).fi_sites;
-  }
-
-  // ------------------------------------------- lockstep batch forking --
-
-  /// Walk state saved at a lane's fork point. Memory is not copied:
-  /// suffix writes are journalled copy-on-first-write (see store()) and
-  /// undone page-by-page on unfork. The output log is append-only, so
-  /// its length suffices to restore it.
-  struct ForkPoint {
-    std::int32_t pc = 0;
-    std::uint64_t steps = 0;
-    std::uint64_t fi_sites = 0;
-    std::uint64_t gpr[masm::kGprCount];
-    std::uint64_t xmm[masm::kXmmCount][4];
-    Flags flags;
-    std::size_t output_size = 0;
-  };
-
-  void save_fork(ForkPoint& fork) const {
-    fork.pc = pc_;
-    fork.steps = steps_;
-    fork.fi_sites = fi_sites_;
-    std::memcpy(fork.gpr, gpr_, sizeof(gpr_));
-    std::memcpy(fork.xmm, xmm_, sizeof(xmm_));
-    fork.flags = flags_;
-    fork.output_size = output_.size();
-  }
-
-  void restore_fork(const ForkPoint& fork) {
-    pc_ = fork.pc;
-    steps_ = fork.steps;
-    fi_sites_ = fork.fi_sites;
-    std::memcpy(gpr_, fork.gpr, sizeof(gpr_));
-    std::memcpy(xmm_, fork.xmm, sizeof(xmm_));
-    flags_ = fork.flags;
-    output_.resize(fork.output_size);
-    halted_ = false;
-  }
-
-  /// Saves page `p`'s pre-image on its first suffix write. Buffers are
-  /// pooled so steady-state batching allocates nothing.
-  void journal_page(std::size_t p) {
-    if (journaled_[p]) return;
-    journaled_[p] = 1;
-    std::unique_ptr<PageImage> image;
-    if (!journal_pool_.empty()) {
-      image = std::move(journal_pool_.back());
-      journal_pool_.pop_back();
-    } else {
-      image = std::make_unique<PageImage>();
-    }
-    std::memcpy(image->bytes, memory_.data() + (p << kCkptPageBits),
-                page_bytes(p));
-    journal_.emplace_back(p, std::move(image));
-  }
-
-  /// Undoes every journalled page, returning memory to the fork point.
-  /// dirty_ bits stay set — conservative but correct: a later prepare
-  /// simply restores those pages from provenance again.
-  void journal_restore() {
-    for (auto& entry : journal_) {
-      std::memcpy(memory_.data() + (entry.first << kCkptPageBits),
-                  entry.second->bytes, page_bytes(entry.first));
-      journaled_[entry.first] = 0;
-      journal_pool_.push_back(std::move(entry.second));
-    }
-    journal_.clear();
-  }
-
-  /// Runs one lane's faulty suffix from the current (forked) walk state
-  /// to completion and assembles its VmResult, then undoes its memory
-  /// writes. Register/counter state is the caller's to restore.
-  void run_suffix(const Engine::BatchTrial& trial, VmResult& result,
-                  FastForwardStats& stats) {
-    faults_ = trial.faults;
-    fault_count_ = trial.fault_count;
-    fault_injected_ = false;
-    fault_landing_.reset();
-    fault_step_ = 0;
-    rejoined_ = false;
-    rejoin_skipped_ = 0;
-    rejoin_site_ = 0;
-    touched_fns_ = 0;
-    const std::uint64_t fork_steps = steps_;
-    journaling_ = true;
-    result = VmResult{};
-    try {
-      run_loop_to_completion(*options_, nullptr);
-      result.return_value =
-          static_cast<std::int64_t>(gpr_[static_cast<int>(Gpr::kRax)]);
-    } catch (const Trap& trap) {
-      result.status = trap.status;
-    }
-    journaling_ = false;
-    journal_restore();
-    result.output = output_;
-    result.steps = steps_;
-    result.fi_sites = fi_sites_;
-    result.fault_injected = fault_injected_;
-    result.fault_landing = fault_landing_;
-    result.fault_step = fault_step_;
-    result.touched_functions = touched_fns_;
-    result.rejoined = rejoined_;
-    result.rejoin_site = rejoin_site_;
-    faults_ = nullptr;
-    fault_count_ = 0;
-    stats.trials += 1;
-    stats.restores += 1;
-    if (rejoined_) stats.rejoins += 1;
-    stats.steps_skipped += fork_steps + rejoin_skipped_;
-    stats.steps_executed += result.steps - fork_steps - rejoin_skipped_;
   }
 
   // ------------------------------------------------------------- run --
@@ -968,7 +733,7 @@ class Engine::Impl {
   /// Reference interpreter loop (one switch per step), also the only
   /// loop carrying per-step introspection. `stop_at_sites` pauses the
   /// run at the first instruction boundary where fi_sites_ has reached
-  /// that count — the lockstep batch walk's fork points; kNoPause runs
+  /// that count — the golden-rejoin comparison boundaries; kNoPause runs
   /// to halt/trap.
   LoopExit loop(CheckpointSet* capture, std::uint64_t stop_at_sites) {
     const bool profiling = options_->profile;
@@ -1023,17 +788,11 @@ class Engine::Impl {
   void store(std::uint64_t addr, int size, std::uint64_t value) {
     check_range(addr, size);
     // Single choke point for all program writes: record which pages have
-    // diverged from the provenance table (writes can straddle a page),
-    // and — inside a batched lane's faulty suffix — save each page's
-    // pre-image before its first modification so the unfork can undo it.
+    // diverged from the provenance table (writes can straddle a page).
     const std::size_t first = static_cast<std::size_t>(addr) >> kCkptPageBits;
     const std::size_t last =
         (static_cast<std::size_t>(addr) + static_cast<std::size_t>(size) - 1) >>
         kCkptPageBits;
-    if (journaling_) {
-      journal_page(first);
-      if (last != first) journal_page(last);
-    }
     if (state_digest_sink_ != nullptr) {
       store_chain_ = mix64(store_chain_ ^ addr);
       store_chain_ = mix64(store_chain_ ^
@@ -1989,13 +1748,6 @@ class Engine::Impl {
   /// as shared_ptr so thinned-away checkpoints cannot dangle it.
   std::vector<std::shared_ptr<const PageImage>> current_page_;
   std::vector<std::uint8_t> dirty_;
-  /// Copy-on-first-write journal of a batched lane's suffix (see
-  /// run_suffix): per-page saved flag, saved pre-images, and a buffer
-  /// pool so steady-state batching allocates nothing.
-  bool journaling_ = false;
-  std::vector<std::uint8_t> journaled_;
-  std::vector<std::pair<std::size_t, std::unique_ptr<PageImage>>> journal_;
-  std::vector<std::unique_ptr<PageImage>> journal_pool_;
 
   std::uint64_t gpr_[masm::kGprCount] = {};
   std::uint64_t xmm_[masm::kXmmCount][4] = {};
@@ -2069,12 +1821,6 @@ VmResult Engine::run_from(const CheckpointSet& checkpoints,
                           const VmOptions& options, const FaultSpec* faults,
                           std::size_t fault_count) {
   return impl_->run_from(checkpoints, options, faults, fault_count, stats_);
-}
-
-void Engine::run_batch(const CheckpointSet* checkpoints,
-                       const VmOptions& options, const BatchTrial* trials,
-                       std::size_t count, VmResult* results) {
-  impl_->run_batch(checkpoints, options, trials, count, results, stats_);
 }
 
 void Engine::set_site_pc_sink(std::vector<std::int32_t>* sink) {

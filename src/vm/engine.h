@@ -220,12 +220,6 @@ struct FastForwardStats {
   std::uint64_t restores = 0;       // trials that restored a checkpoint
   std::uint64_t steps_skipped = 0;  // golden-prefix steps not re-executed
   std::uint64_t steps_executed = 0; // suffix steps actually interpreted
-  // Lockstep batch accounting (run_batch only). walk_steps counts the
-  // shared golden-walk instructions each batch interpreted once on
-  // behalf of all its lanes — the amortised replay cost.
-  std::uint64_t batches = 0;
-  std::uint64_t lanes = 0;
-  std::uint64_t walk_steps = 0;
   // Trials whose state re-converged to a golden checkpoint after the
   // last fault fired, so the remaining tail was adopted from the golden
   // summary instead of re-executed. Those elided steps count under
@@ -237,9 +231,6 @@ struct FastForwardStats {
     restores += other.restores;
     steps_skipped += other.steps_skipped;
     steps_executed += other.steps_executed;
-    batches += other.batches;
-    lanes += other.lanes;
-    walk_steps += other.walk_steps;
     rejoins += other.rejoins;
   }
   /// Fraction of would-be-cold work skipped: skipped / (skipped + executed).
@@ -292,28 +283,6 @@ class Engine {
   /// the prefix — callers fall back to run()).
   VmResult run_from(const CheckpointSet& checkpoints, const VmOptions& options,
                     const FaultSpec* faults, std::size_t fault_count);
-
-  /// One lane of a lockstep batch: the fault set of a single trial.
-  struct BatchTrial {
-    const FaultSpec* faults = nullptr;
-    std::size_t fault_count = 0;
-  };
-
-  /// Lockstep batched trials: all `count` lanes share one golden walk
-  /// through the decode stream. Lanes are ordered by first fault site;
-  /// the walk advances fault-free to each lane's site (hopping through
-  /// `checkpoints` when one is nearer than the current position), forks
-  /// the lane there — registers saved, memory writes journalled
-  /// copy-on-first-write — runs the faulty suffix to completion, then
-  /// unforks and continues. Each result is bit-identical to the scalar
-  /// run()/run_from() outcome: the walk state at site S is the cold
-  /// trial's state at S (same determinism argument as checkpoints).
-  /// `checkpoints` may be null/empty (cold walk). Options requiring the
-  /// full per-trial prefix (profile/timing/trace) fall back to scalar
-  /// execution per lane.
-  void run_batch(const CheckpointSet* checkpoints, const VmOptions& options,
-                 const BatchTrial* trials, std::size_t count,
-                 VmResult* results);
 
   /// While `sink` is non-null, every dynamic FI site registered by
   /// subsequent runs appends the flat pc of its instruction — the

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include "backend/backend.h"
+#include "fault/cell.h"
 #include "frontend/codegen.h"
 #include "ir/interp.h"
 #include "masm/masm.h"
+#include "pipeline/pipeline.h"
 #include "support/source_location.h"
 #include "vm/vm.h"
+#include "workloads/workloads.h"
 
 namespace ferrum {
 namespace {
@@ -297,6 +300,30 @@ TEST(Backend, WhileWithComplexCondition) {
       print_int(i);
       return 0;
     })");
+}
+
+TEST(Backend, FrameLayoutIsIndependentOfHeapAddresses) {
+  // Two builds of one kernel in one process must print the same program:
+  // the frame layout may not follow the heap addresses of IR values (the
+  // first build stays alive so the second one's IR lands elsewhere). A
+  // differing print changes the program hash, and with it the result
+  // store's cache key.
+  using pipeline::Technique;
+  for (const auto& workload : workloads::all()) {
+    for (const Technique technique : {Technique::kNone, Technique::kIrEddi,
+                                      Technique::kHybrid, Technique::kFerrum}) {
+      const pipeline::Build first = pipeline::build(workload.source, technique);
+      const pipeline::Build second =
+          pipeline::build(workload.source, technique);
+      const std::string label = workload.name + std::string("/") +
+                                pipeline::technique_name(technique);
+      EXPECT_EQ(masm::print(first.program), masm::print(second.program))
+          << label;
+      EXPECT_EQ(fault::program_hash(first.program),
+                fault::program_hash(second.program))
+          << label;
+    }
+  }
 }
 
 }  // namespace

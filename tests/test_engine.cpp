@@ -68,7 +68,7 @@ std::string audit_json(const masm::AsmProgram& program,
 
 /// Field-by-field VmResult comparison — every deterministic field,
 /// including the landing record. Trace/profile/timing are excluded: the
-/// dispatch and batch paths under test never enable them.
+/// dispatch and rejoin paths under test never enable them.
 void expect_same_result(const vm::VmResult& want, const vm::VmResult& got,
                         const std::string& context) {
   EXPECT_EQ(want.status, got.status) << context;
@@ -201,11 +201,6 @@ TEST(EngineEquivalence, AuditRealWorkload) {
   options.probe_bits = {17};
   const std::string cold = audit_json(build.program, options, 0, 8);
   EXPECT_EQ(cold, audit_json(build.program, options, 64, 8));
-  // Scalar probes (batch width 1) are the degenerate case of the
-  // lockstep walk and must take the same result path.
-  fault::AuditOptions scalar = options;
-  scalar.batch = 1;
-  EXPECT_EQ(cold, audit_json(build.program, scalar, 64, 8));
 }
 
 TEST(Engine, SingleRunMatchesColdVmRun) {
@@ -367,8 +362,8 @@ TEST(Engine, PredecodeResolvesEveryTargetUpFront) {
 // ------------------------------------------------------------- dispatch --
 //
 // The threaded-dispatch tentpole's contract: switch and computed-goto
-// loops (and the lockstep batch walk on top of them) are byte-equivalent
-// down to every VmResult field, with or without golden rejoin.
+// loops are byte-equivalent down to every VmResult field, with or
+// without golden rejoin.
 
 TEST(DispatchEquivalence, GoldenRunsAgreeOnAllWorkloads) {
   if (!vm::threaded_dispatch_available()) {
@@ -441,12 +436,11 @@ std::string fuzz_program(std::uint64_t seed) {
   return out.str();
 }
 
-TEST(DispatchEquivalence, DifferentialFuzzAcrossDispatchAndBatch) {
-  // Random programs x random fault plans, each plan executed five ways:
-  // cold switch (truth), cold threaded, scalar fast-forward with golden
-  // rejoin, lockstep batch over the whole plan set, and a cold batch
-  // walk. Any divergence in any VmResult field fails with the program
-  // source attached.
+TEST(DispatchEquivalence, DifferentialFuzzAcrossDispatchAndRejoin) {
+  // Random programs x random fault plans, each plan executed three ways:
+  // cold switch (truth), cold threaded on a reused engine, and fast-
+  // forward from a checkpoint with golden rejoin. Any divergence in any
+  // VmResult field fails with the program source attached.
   if (!vm::threaded_dispatch_available()) {
     GTEST_SKIP() << "switch-only build";
   }
@@ -502,24 +496,10 @@ TEST(DispatchEquivalence, DifferentialFuzzAcrossDispatchAndBatch) {
             engine.run_from(ckpts, faulty, plans[i].data(), plans[i].size()),
             "warm trial " + std::to_string(i) + "\n" + source);
       }
-      std::vector<vm::Engine::BatchTrial> lanes(plans.size());
-      for (std::size_t i = 0; i < plans.size(); ++i) {
-        lanes[i] = {plans[i].data(), plans[i].size()};
-      }
-      std::vector<vm::VmResult> batched(plans.size());
-      engine.run_batch(&ckpts, faulty, lanes.data(), lanes.size(),
-                       batched.data());
-      for (std::size_t i = 0; i < plans.size(); ++i) {
-        expect_same_result(cold[i], batched[i],
-                           "batched trial " + std::to_string(i) + "\n" + source);
-      }
-      std::vector<vm::VmResult> cold_batched(plans.size());
-      engine.run_batch(nullptr, faulty_sw, lanes.data(), lanes.size(),
-                       cold_batched.data());
       for (std::size_t i = 0; i < plans.size(); ++i) {
         expect_same_result(
-            cold[i], cold_batched[i],
-            "cold batched trial " + std::to_string(i) + "\n" + source);
+            cold[i], engine.run(faulty, plans[i].data(), plans[i].size()),
+            "cold threaded trial " + std::to_string(i) + "\n" + source);
       }
     }
   }
@@ -739,34 +719,28 @@ TEST(Engine, GoldenRejoinIsResultExactAndAccounted) {
                 rejoining.stats().steps_skipped);
 }
 
-TEST(EngineEquivalence, BatchWidthStrideRejoinCross) {
-  // Campaign-level closure over the new engine knobs: batch width,
-  // stride, golden rejoin and dispatch must never change the
-  // deterministic campaign JSON. Truth is the scalar cold switch
-  // configuration with rejoin off.
+TEST(EngineEquivalence, StrideRejoinJobsCross) {
+  // Campaign-level closure over the engine knobs: stride, jobs, golden
+  // rejoin and dispatch must never change the deterministic campaign
+  // JSON. Truth is the cold switch configuration with rejoin off.
   const auto& w = workloads::by_name("bfs");
   auto build = pipeline::build(w.source, Technique::kFerrum);
   fault::CampaignOptions options;
   options.trials = 48;
   options.seed = 0xfeedbee5;
-  options.batch = 1;
   options.vm.dispatch = vm::DispatchMode::kSwitch;
   options.vm.golden_rejoin = false;
   const std::string truth = campaign_json(build.program, options, 0, 1);
   options.vm.dispatch = vm::DispatchMode::kAuto;
   options.vm.golden_rejoin = true;
-  for (int batch : {1, 4, 8}) {
-    for (int stride : {0, 64}) {
-      for (int jobs : {1, 2}) {
-        options.batch = batch;
-        EXPECT_EQ(truth, campaign_json(build.program, options, stride, jobs))
-            << "batch=" << batch << " stride=" << stride << " jobs=" << jobs;
-      }
+  for (int stride : {0, 64}) {
+    for (int jobs : {1, 2}) {
+      EXPECT_EQ(truth, campaign_json(build.program, options, stride, jobs))
+          << "stride=" << stride << " jobs=" << jobs;
     }
   }
-  // Rejoin off with batching on: the remaining corner.
+  // Rejoin off under threaded dispatch: the remaining corner.
   options.vm.golden_rejoin = false;
-  options.batch = 8;
   EXPECT_EQ(truth, campaign_json(build.program, options, 64, 2));
 }
 

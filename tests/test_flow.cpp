@@ -9,7 +9,7 @@
 //     verdict);
 //   - determinism: the serialized ferrum.flow.v1 document is
 //     byte-identical across independent runs and unaffected by the
-//     execution env knobs (FERRUM_JOBS/FERRUM_DISPATCH/FERRUM_BATCH),
+//     execution env knobs (FERRUM_JOBS/FERRUM_DISPATCH),
 //     which have no channel into the static analysis;
 //   - the selective planner: ordinal stability of the protectable-site
 //     universe (selection outcomes cannot shift site identity), budget
@@ -202,21 +202,18 @@ TEST(FlowDeterminism, SerializationIsStableAndKnobBlind) {
 
   setenv("FERRUM_JOBS", "1", 1);
   setenv("FERRUM_DISPATCH", "switch", 1);
-  setenv("FERRUM_BATCH", "1", 1);
   const FlowReport first = check::flow::flow_program(build.program);
   const std::string first_doc =
       check::flow::to_json(first, build.program).dump();
 
   setenv("FERRUM_JOBS", "8", 1);
   setenv("FERRUM_DISPATCH", "threaded", 1);
-  setenv("FERRUM_BATCH", "16", 1);
   const FlowReport second = check::flow::flow_program(build.program);
   const std::string second_doc =
       check::flow::to_json(second, build.program).dump();
 
   unsetenv("FERRUM_JOBS");
   unsetenv("FERRUM_DISPATCH");
-  unsetenv("FERRUM_BATCH");
   EXPECT_EQ(first_doc, second_doc);
   EXPECT_FALSE(first_doc.empty());
 }

@@ -145,13 +145,12 @@ TEST(ThreadPoolTest, CheckpointedCampaignSharesSnapshotsAcrossWorkers) {
   EXPECT_GT(parallel.ckpt.ff.restores, 0u);
 }
 
-TEST(ThreadPoolTest, BatchedCampaignIsBatchAndJobsInvariant) {
-  // TSan-preset coverage for the lockstep batch walk and golden rejoin:
-  // each worker's Engine hands batches of lanes to run_batch while
-  // reading the shared CheckpointSet (including its GoldenSummary for
-  // rejoin comparisons) concurrently with every other worker. The
-  // batched multi-worker campaign must reproduce the scalar
-  // single-worker result exactly.
+TEST(ThreadPoolTest, RejoinCampaignIsJobsInvariant) {
+  // TSan-preset coverage for golden rejoin: each worker's Engine reads
+  // the shared CheckpointSet (including its GoldenSummary for rejoin
+  // comparisons) concurrently with every other worker. The multi-worker
+  // rejoin campaign must reproduce the single-worker result without
+  // rejoin exactly.
   auto build = pipeline::build(R"(
     int main() {
       int s = 0;
@@ -162,19 +161,16 @@ TEST(ThreadPoolTest, BatchedCampaignIsBatchAndJobsInvariant) {
   fault::CampaignOptions options;
   options.trials = 96;
   options.ckpt_stride = 4;
-  options.batch = 1;
   options.vm.golden_rejoin = false;
   options.jobs = 1;
   const auto serial = fault::run_campaign(build.program, options);
-  options.batch = 8;
   options.vm.golden_rejoin = true;
   options.jobs = 8;
-  const auto batched = fault::run_campaign(build.program, options);
-  EXPECT_EQ(serial.counts, batched.counts);
-  EXPECT_EQ(serial.sdc_breakdown, batched.sdc_breakdown);
-  EXPECT_EQ(serial.latency_sum, batched.latency_sum);
-  EXPECT_GT(batched.ckpt.ff.batches, 0u);
-  EXPECT_GT(batched.ckpt.ff.lanes, batched.ckpt.ff.batches);
+  const auto parallel = fault::run_campaign(build.program, options);
+  EXPECT_EQ(serial.counts, parallel.counts);
+  EXPECT_EQ(serial.sdc_breakdown, parallel.sdc_breakdown);
+  EXPECT_EQ(serial.latency_sum, parallel.latency_sum);
+  EXPECT_GT(parallel.ckpt.ff.rejoins, 0u);
 }
 
 TEST(ThreadPoolTest, PrunedCampaignIsJobsInvariant) {
@@ -210,14 +206,14 @@ TEST(ThreadPoolTest, PrunedCampaignIsJobsInvariant) {
   EXPECT_LT(parallel.prune.pilot_runs, 96u);  // pruning actually pruned
 }
 
-TEST(ThreadPoolTest, AdaptiveCampaignIsJobsAndBatchInvariant) {
+TEST(ThreadPoolTest, AdaptiveCampaignIsJobsInvariant) {
   // TSan-preset coverage for the adaptive stop rule: the boundary loop
   // joins the pool after every block, then reads each trial's outcome
   // slot from the calling thread — the determinism contract (and the
   // happens-before edge behind it) is that the stopped count and every
-  // counter agree across workers and lockstep widths. A shared
-  // PreparedCampaign rides along, read concurrently by all workers, to
-  // mirror the service's cross-cell reuse under the race detector.
+  // counter agree across worker counts. A shared PreparedCampaign rides
+  // along, read concurrently by all workers, to mirror the service's
+  // cross-cell reuse under the race detector.
   auto build = pipeline::build(R"(
     int main() {
       int s = 0;
@@ -230,14 +226,12 @@ TEST(ThreadPoolTest, AdaptiveCampaignIsJobsAndBatchInvariant) {
   options.max_half_width = 0.05;
   options.ckpt_stride = 4;
   options.jobs = 1;
-  options.batch = 1;
   const auto serial = fault::run_campaign(build.program, options);
   ASSERT_TRUE(serial.adaptive.stopped_early);
   const fault::PreparedCampaign prepared(build.program, options.vm,
                                          /*ckpt_stride=*/4);
   for (const int jobs : {2, 8}) {
     options.jobs = jobs;
-    options.batch = 8;
     options.prepared = &prepared;
     const auto parallel = fault::run_campaign(build.program, options);
     EXPECT_EQ(serial.adaptive.executed_trials,

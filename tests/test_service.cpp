@@ -137,7 +137,7 @@ TEST(CellKey, ResultAffectingKnobsChangeTheKey) {
 }
 
 TEST(CellKey, EngineKnobsAreNotKeyMaterial) {
-  // jobs / ckpt_stride / batch / dispatch are proven result-invariant
+  // jobs / ckpt_stride / dispatch are proven result-invariant
   // (tests/test_engine.cpp byte-compares campaign JSON across them), so
   // a warm query with different engine knobs must still hit the store.
   const CampaignCell base;
@@ -145,7 +145,6 @@ TEST(CellKey, EngineKnobsAreNotKeyMaterial) {
   CampaignCell cell = base;
   cell.jobs = 8;
   cell.ckpt_stride = 0;
-  cell.batch = 1;
   cell.dispatch = "switch";
   EXPECT_EQ(fault::cell_key_material(cell, kEmptySha), base_material);
 }
@@ -254,7 +253,6 @@ TEST(Proto, CellJsonRoundTrip) {
   cell.store_data = true;
   cell.jobs = 4;
   cell.ckpt_stride = 16;
-  cell.batch = 2;
   cell.dispatch = "switch";
   cell.max_half_width = 0.03;
   CampaignCell parsed;
@@ -272,7 +270,6 @@ TEST(Proto, CellJsonRoundTrip) {
   EXPECT_EQ(parsed.store_data, cell.store_data);
   EXPECT_EQ(parsed.jobs, cell.jobs);
   EXPECT_EQ(parsed.ckpt_stride, cell.ckpt_stride);
-  EXPECT_EQ(parsed.batch, cell.batch);
   EXPECT_EQ(parsed.dispatch, cell.dispatch);
   EXPECT_EQ(parsed.max_half_width, cell.max_half_width);
 }
@@ -293,12 +290,16 @@ TEST(Proto, CellJsonFillsDefaultsForAbsentKeys) {
 TEST(Proto, CellJsonIsStrict) {
   // A typo'd knob must be an error, not a silent default — otherwise the
   // mistyped cell would be cached under the wrong key forever.
-  telemetry::Json misspelled = telemetry::Json::object();
-  misspelled["workload"] = "bfs";
-  misspelled["trails"] = static_cast<std::uint64_t>(500);
+  // A stale client's "batch" (a knob the protocol no longer has) is
+  // rejected the same way, so it can never alias a cache entry.
   CampaignCell cell;
   std::string error;
-  EXPECT_FALSE(service::cell_from_json(misspelled, cell, error));
+  for (const char* unknown : {"trails", "batch"}) {
+    telemetry::Json misspelled = telemetry::Json::object();
+    misspelled["workload"] = "bfs";
+    misspelled[unknown] = static_cast<std::uint64_t>(500);
+    EXPECT_FALSE(service::cell_from_json(misspelled, cell, error)) << unknown;
+  }
 
   telemetry::Json mistyped = telemetry::Json::object();
   mistyped["workload"] = "bfs";
@@ -329,7 +330,7 @@ TEST(Proto, CellJsonRejectsWrongTypeForEveryKnownKey) {
     }
   };
   for (const char* key : {"scale", "trials", "seed", "faults_per_run",
-                          "burst", "jobs", "ckpt_stride", "batch"}) {
+                          "burst", "jobs", "ckpt_stride"}) {
     telemetry::Json as_string = base();
     as_string[key] = "100";
     rejects(std::move(as_string));
@@ -375,7 +376,7 @@ TEST(Proto, CellJsonRejectsOutOfRangeAndNegativeIntegers) {
   rejects(std::move(wide));
   telemetry::Json huge = telemetry::Json::object();
   huge["workload"] = "bfs";
-  huge["batch"] = static_cast<std::uint64_t>(1) << 40;
+  huge["jobs"] = static_cast<std::uint64_t>(1) << 40;
   rejects(std::move(huge));
   telemetry::Json low = telemetry::Json::object();
   low["workload"] = "bfs";
@@ -517,7 +518,6 @@ TEST(Service, WarmAcrossEngineKnobs) {
   CampaignCell retuned = tiny_cell();
   retuned.jobs = 1;
   retuned.ckpt_stride = 0;
-  retuned.batch = 1;
   retuned.dispatch = "switch";
   const std::uint64_t warm_job = daemon.submit({retuned});
   const service::CellOutcome* warm = daemon.wait_cell(warm_job, 0);
