@@ -17,7 +17,7 @@ JOBS="${FERRUM_CI_JOBS:-$(nproc 2>/dev/null || echo 2)}"
 # Preset table: name | build dir | extra cmake args | ctest args.
 # The regexes mirror ROADMAP.md verbatim — update both together.
 TSAN_TESTS='bench_smoke|check_smoke|prune_smoke|test_parallel|test_sections|service_smoke'
-ASAN_TESTS='test_check|test_engine|test_prune'
+ASAN_TESTS='test_check|test_engine|test_prune|test_flow|test_dataflow'
 
 preset_cmake_args() {
   case "$1" in
@@ -51,6 +51,7 @@ run_preset() {
   args="$(preset_cmake_args "$name")"
   log="$dir/ci-$name.log"
   echo "==> preset $name (build dir: $dir)"
+  mkdir -p "$dir"  # the log below lives in it, before cmake creates it
   # shellcheck disable=SC2086 — args is a deliberate word list
   if ! cmake -B "$dir" -S . $args >"$log" 2>&1; then
     echo "    configure FAILED (see $log)"

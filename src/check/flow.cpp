@@ -3,17 +3,16 @@
 #include <map>
 #include <string>
 #include <tuple>
-#include <unordered_map>
 #include <vector>
 
 #include "check/check.h"
 #include "check/prune.h"
 #include "check/sections.h"
+#include "masm/dataflow.h"
 
 namespace ferrum::check::flow {
 namespace {
 
-using masm::AsmFunction;
 using masm::AsmInst;
 using masm::AsmProgram;
 using masm::FaultSiteKind;
@@ -173,87 +172,16 @@ Cell gpr_write_gen(const FlowState& s, Gpr reg) {
   return gen;
 }
 
-// ------------------------------------------------------------- analyzer --
+// ------------------------------------------------------------- transfer --
 
-constexpr int kCalleePrintInt = -2;
-constexpr int kCalleePrintF64 = -3;
-constexpr int kCalleeUnknown = -1;
-
-class Analyzer {
- public:
-  Analyzer(const AsmProgram& program, const FlowOptions& options)
-      : prog_(program), opts_(options) {
-    const int nfuncs = static_cast<int>(prog_.functions.size());
-    std::unordered_map<std::string, int> by_name;
-    for (int f = 0; f < nfuncs; ++f) by_name.emplace(prog_.functions[f].name, f);
-    tables_.resize(static_cast<std::size_t>(nfuncs));
-    for (int f = 0; f < nfuncs; ++f) {
-      const AsmFunction& fn = prog_.functions[f];
-      std::unordered_map<std::string, int> block_by_label;
-      for (int b = 0; b < static_cast<int>(fn.blocks.size()); ++b) {
-        block_by_label.emplace(fn.blocks[b].label, b);
-      }
-      auto& t = tables_[static_cast<std::size_t>(f)];
-      t.target.resize(fn.blocks.size());
-      t.callee.resize(fn.blocks.size());
-      t.detect_block.assign(fn.blocks.size(), false);
-      for (std::size_t b = 0; b < fn.blocks.size(); ++b) {
-        const auto& insts = fn.blocks[b].insts;
-        t.detect_block[b] =
-            !insts.empty() && insts.front().op == Op::kDetectTrap;
-        t.target[b].assign(insts.size(), -1);
-        t.callee[b].assign(insts.size(), kCalleeUnknown);
-        for (std::size_t i = 0; i < insts.size(); ++i) {
-          const AsmInst& inst = insts[i];
-          if (inst.op == Op::kJmp || inst.op == Op::kJcc) {
-            auto it = block_by_label.find(inst.ops[0].label);
-            if (it != block_by_label.end()) t.target[b][i] = it->second;
-          } else if (inst.op == Op::kCall) {
-            const std::string& callee = inst.ops[0].label;
-            if (callee == "print_int") {
-              t.callee[b][i] = kCalleePrintInt;
-            } else if (callee == "print_f64") {
-              t.callee[b][i] = kCalleePrintF64;
-            } else {
-              auto it = by_name.find(callee);
-              if (it != by_name.end()) t.callee[b][i] = it->second;
-            }
-          }
-        }
-      }
-    }
-    summaries_.resize(static_cast<std::size_t>(nfuncs));
-    context_.resize(static_cast<std::size_t>(nfuncs));
-  }
-
-  FlowReport run() {
-    compute_summaries();
-    compute_contexts();
-    return build_report();
-  }
-
- private:
-  struct FnTables {
-    /// Resolved jcc/jmp target block index per instruction, -1 when the
-    /// label does not resolve (the VM traps on that edge).
-    std::vector<std::vector<int>> target;
-    /// Resolved callee per kCall: function index, kCalleePrint*, or
-    /// kCalleeUnknown (traps before the return-address push).
-    std::vector<std::vector<int>> callee;
-    /// Blocks whose first instruction is the detect trap: a jcc into one
-    /// is a detector firing, not an outcome-steering branch.
-    std::vector<bool> detect_block;
-  };
-
-  /// Backward transfer of one instruction: s holds the flow state *after*
-  /// the instruction on entry and *before* it on exit. Destination flow
-  /// is read off the post-state first, full overwrites are killed, then
-  /// every read location absorbs the generated flow plus the
-  /// instruction's intrinsic sinks.
-  void transfer(int f, int b, int i, const AsmInst& inst, FlowState& s,
-                const std::vector<FlowState>& state_in,
-                const FlowState& exit_seed) const {
-    const FnTables& t = tables_[static_cast<std::size_t>(f)];
+/// Backward transfer of one instruction: s holds the flow state *after*
+/// the instruction on entry and *before* it on exit. Destination flow is
+/// read off the post-state first, full overwrites are killed, then every
+/// read location absorbs the generated flow plus the instruction's
+/// intrinsic sinks.
+struct SinkFlowTransfer {
+  void operator()(const masm::Frame<FlowState>& at, const AsmInst& inst,
+                  FlowState& s) const {
     switch (inst.op) {
       case Op::kMov:
         if (inst.ops[1].is_mem()) {
@@ -349,12 +277,11 @@ class Analyzer {
         // s currently holds the fall-through state; join the taken edge.
         // A branch into the detect block is the detector firing; any
         // other resolution steers control flow.
-        const int target = t.target[static_cast<std::size_t>(b)]
-                                   [static_cast<std::size_t>(i)];
+        const int target = at.target();
         std::uint16_t sink = kSinkBranch;
         if (target >= 0) {
-          s.join(state_in[static_cast<std::size_t>(target)]);
-          if (t.detect_block[static_cast<std::size_t>(target)]) {
+          s.join(at.in(target));
+          if (at.tables.detect_block(at.function, target)) {
             sink = kSinkDetect;
           }
         }
@@ -362,20 +289,17 @@ class Analyzer {
         return;
       }
       case Op::kJmp: {
-        const int target = t.target[static_cast<std::size_t>(b)]
-                                   [static_cast<std::size_t>(i)];
-        s = target >= 0 ? state_in[static_cast<std::size_t>(target)]
-                        : FlowState{};
+        const int target = at.target();
+        s = target >= 0 ? at.in(target) : FlowState{};
         return;
       }
       case Op::kCall: {
-        const int callee = t.callee[static_cast<std::size_t>(b)]
-                                   [static_cast<std::size_t>(i)];
-        if (callee == kCalleePrintInt) {
+        const int callee = at.callee();
+        if (callee == masm::ProgramTables::kPrintInt) {
           read_gpr(s, Gpr::kRdi, Cell::sink(kSinkOutput));
           return;
         }
-        if (callee == kCalleePrintF64) {
+        if (callee == masm::ProgramTables::kPrintF64) {
           read_xmm_lane(s, 0, 0, Cell::sink(kSinkOutput));
           return;
         }
@@ -386,7 +310,7 @@ class Analyzer {
         // Compose the callee summary with the caller's after-call state.
         // Locations the callee overwrites on every path have no exit
         // entry for their own value, so clobbers fall out for free.
-        const FlowState& sum = summaries_[static_cast<std::size_t>(callee)];
+        const FlowState& sum = at.summary(callee).front();
         FlowState before;
         for (int l = 0; l < kLocCount; ++l) {
           before.loc[l] = expand(sum.loc[l], s);
@@ -398,7 +322,7 @@ class Analyzer {
         return;
       }
       case Op::kRet:
-        s = exit_seed;
+        s = *at.exit;
         s.loc[gpr_loc(Gpr::kRsp)].merge(Cell::sink(kSinkAddress));  // the pop
         return;
       case Op::kDetectTrap:
@@ -505,302 +429,143 @@ class Analyzer {
       }
     }
   }
-
-  /// One backward sweep of block b (prune's walk shape: free fall-through
-  /// into block b+1, falling past the last block traps). Optionally
-  /// records the after-state of every instruction.
-  FlowState walk_block(int f, int b, FlowState s,
-                       const std::vector<FlowState>& state_in,
-                       const FlowState& exit_seed,
-                       std::vector<FlowState>* after_out) const {
-    const auto& insts =
-        prog_.functions[static_cast<std::size_t>(f)]
-            .blocks[static_cast<std::size_t>(b)].insts;
-    if (after_out != nullptr) after_out->resize(insts.size());
-    for (int i = static_cast<int>(insts.size()) - 1; i >= 0; --i) {
-      if (after_out != nullptr) {
-        (*after_out)[static_cast<std::size_t>(i)] = s;
-      }
-      transfer(f, b, i, insts[static_cast<std::size_t>(i)], s, state_in,
-               exit_seed);
-    }
-    return s;
-  }
-
-  /// Round-robin backward fixpoint over the function's blocks. Returns
-  /// per-block state-in (the flow facts at each block entry).
-  std::vector<FlowState> analyze_function(int f,
-                                          const FlowState& exit_seed) const {
-    const AsmFunction& fn = prog_.functions[static_cast<std::size_t>(f)];
-    const int nblocks = static_cast<int>(fn.blocks.size());
-    std::vector<FlowState> state_in(static_cast<std::size_t>(nblocks));
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (int b = nblocks - 1; b >= 0; --b) {
-        FlowState seed = b + 1 < nblocks
-                             ? state_in[static_cast<std::size_t>(b + 1)]
-                             : FlowState{};
-        FlowState in = walk_block(f, b, std::move(seed), state_in, exit_seed,
-                                  nullptr);
-        if (!(in == state_in[static_cast<std::size_t>(b)])) {
-          state_in[static_cast<std::size_t>(b)] = std::move(in);
-          changed = true;
-        }
-      }
-    }
-    return state_in;
-  }
-
-  /// After-states for every instruction of f under a converged state_in.
-  std::vector<std::vector<FlowState>> record_function(
-      int f, const std::vector<FlowState>& state_in,
-      const FlowState& exit_seed) const {
-    const AsmFunction& fn = prog_.functions[static_cast<std::size_t>(f)];
-    const int nblocks = static_cast<int>(fn.blocks.size());
-    std::vector<std::vector<FlowState>> after(
-        static_cast<std::size_t>(nblocks));
-    for (int b = 0; b < nblocks; ++b) {
-      FlowState seed = b + 1 < nblocks
-                           ? state_in[static_cast<std::size_t>(b + 1)]
-                           : FlowState{};
-      walk_block(f, b, std::move(seed), state_in, exit_seed,
-                 &after[static_cast<std::size_t>(b)]);
-    }
-    return after;
-  }
-
-  /// Bottom-up callee summaries: the entry state under identity exits
-  /// answers, per location, which sinks the callee itself exposes and
-  /// which exit locations the entry value can survive into. Optimistic
-  /// empty start, iterate to the least fixpoint (monotone — recursion
-  /// converges).
-  void compute_summaries() {
-    const int nfuncs = static_cast<int>(prog_.functions.size());
-    const FlowState identity = FlowState::identity_exits();
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (int f = 0; f < nfuncs; ++f) {
-        const auto state_in = analyze_function(f, identity);
-        FlowState entry =
-            state_in.empty() ? FlowState{} : state_in.front();
-        FlowState& sum = summaries_[static_cast<std::size_t>(f)];
-        if (!(sum == entry)) {
-          sum = std::move(entry);
-          changed = true;
-        }
-      }
-    }
-  }
-
-  /// Top-down caller contexts C(f): what a ret of f feeds into. main's
-  /// exit feeds %rax to the architectural return value (an output sink);
-  /// every call site of g adds its own after-call state to C(g). The
-  /// concrete passes carry no exit bits, so fixpoint states here are
-  /// sink-only.
-  void compute_contexts() {
-    const int nfuncs = static_cast<int>(prog_.functions.size());
-    for (int f = 0; f < nfuncs; ++f) {
-      if (prog_.functions[static_cast<std::size_t>(f)].name == "main") {
-        context_[static_cast<std::size_t>(f)]
-            .loc[gpr_loc(Gpr::kRax)]
-            .merge(Cell::sink(kSinkOutput));
-      }
-    }
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (int f = 0; f < nfuncs; ++f) {
-        const auto state_in =
-            analyze_function(f, context_[static_cast<std::size_t>(f)]);
-        const auto after = record_function(
-            f, state_in, context_[static_cast<std::size_t>(f)]);
-        const FnTables& t = tables_[static_cast<std::size_t>(f)];
-        for (std::size_t b = 0; b < after.size(); ++b) {
-          for (std::size_t i = 0; i < after[b].size(); ++i) {
-            const int callee = t.callee[b][i];
-            if (prog_.functions[static_cast<std::size_t>(f)]
-                    .blocks[b].insts[i].op != Op::kCall ||
-                callee < 0) {
-              continue;
-            }
-            FlowState& c = context_[static_cast<std::size_t>(callee)];
-            FlowState joined = c;
-            joined.join(after[b][i]);
-            if (!(joined == c)) {
-              c = std::move(joined);
-              changed = true;
-            }
-          }
-        }
-      }
-    }
-  }
-
-  // ------------------------------------------------ report construction --
-
-  /// The sink mask of the location(s) a site writes, read off the
-  /// after-state of its instruction — exactly where the flipped value
-  /// resides when the fault fires.
-  std::uint16_t site_sinks(const FlowState& after, const FnTables& t, int b,
-                           int i, const masm::StaticSiteInfo& info) const {
-    switch (info.kind) {
-      case FaultSiteKind::kGprWrite:
-        return after.loc[gpr_loc(info.reg)].sinks;
-      case FaultSiteKind::kXmmWrite: {
-        std::uint16_t sinks = 0;
-        for (int l = 0; l < info.lane_count; ++l) {
-          sinks |= after.loc[xmm_loc(info.xmm, info.lane_base + l)].sinks;
-        }
-        return sinks;
-      }
-      case FaultSiteKind::kFlagsWrite:
-        return after.loc[kFlagsLoc].sinks;
-      case FaultSiteKind::kStoreData:
-        // The corrupted value is already in the store stream.
-        return kSinkStore;
-      case FaultSiteKind::kBranchDecision: {
-        const int target = t.target[static_cast<std::size_t>(b)]
-                                   [static_cast<std::size_t>(i)];
-        if (target >= 0 && t.detect_block[static_cast<std::size_t>(target)]) {
-          return kSinkDetect;
-        }
-        return kSinkBranch;
-      }
-    }
-    return 0;
-  }
-
-  static Prediction predict_from_sinks(std::uint16_t sinks) {
-    if ((sinks & (kSinkStore | kSinkOutput)) != 0) {
-      return Prediction::kSdcVulnerable;
-    }
-    if ((sinks & (kSinkAddress | kSinkStackPtr | kSinkBranch | kSinkTrap)) !=
-        0) {
-      return Prediction::kCrashProne;
-    }
-    if ((sinks & kSinkDetect) != 0) return Prediction::kDetected;
-    return Prediction::kMasked;
-  }
-
-  FlowReport build_report() {
-    FlowReport report;
-    report.store_data_sites = opts_.store_data_sites;
-    const int nfuncs = static_cast<int>(prog_.functions.size());
-
-    // The companion analyses the predictions fold in: prune's dead-bit
-    // proof, check's protected/benign classification, and the section
-    // decomposition for the per-section profile. All three share the
-    // store-data knob so site enumerations line up.
-    prune::PruneOptions prune_options;
-    prune_options.store_data_sites = opts_.store_data_sites;
-    const prune::PruneReport pruned = prune::prune_program(prog_, prune_options);
-    CheckOptions check_options;
-    check_options.store_data_sites = opts_.store_data_sites;
-    const CheckReport checked = check_program(prog_, check_options);
-    sections::SectionOptions section_options;
-    section_options.store_data_sites = opts_.store_data_sites;
-    const sections::SectionMap section_map =
-        sections::build_sections(prog_, section_options);
-
-    // check::SiteRecord keys by function *name*; index for O(1) joins.
-    std::map<std::tuple<std::string, int, int, int>, SiteStatus> check_status;
-    for (const SiteRecord& site : checked.sites) {
-      check_status.emplace(
-          std::make_tuple(site.function, site.block, site.inst,
-                          static_cast<int>(site.kind)),
-          site.status);
-    }
-
-    report.by_function.resize(static_cast<std::size_t>(nfuncs));
-    report.by_section.resize(section_map.sections.size());
-    report.site_at_.resize(static_cast<std::size_t>(nfuncs));
-
-    for (int f = 0; f < nfuncs; ++f) {
-      const AsmFunction& fn = prog_.functions[static_cast<std::size_t>(f)];
-      const auto state_in =
-          analyze_function(f, context_[static_cast<std::size_t>(f)]);
-      const auto after = record_function(
-          f, state_in, context_[static_cast<std::size_t>(f)]);
-      const FnTables& t = tables_[static_cast<std::size_t>(f)];
-      auto& fn_index = report.site_at_[static_cast<std::size_t>(f)];
-      fn_index.resize(fn.blocks.size());
-      for (std::size_t b = 0; b < fn.blocks.size(); ++b) {
-        const auto& insts = fn.blocks[b].insts;
-        fn_index[b].assign(insts.size(), -1);
-        for (std::size_t i = 0; i < insts.size(); ++i) {
-          const AsmInst& inst = insts[i];
-          const bool pushes_ret =
-              inst.op != Op::kCall || t.callee[b][i] >= 0;
-          const masm::StaticSiteInfo info =
-              masm::static_site_of(inst, opts_.store_data_sites, pushes_ret);
-          if (!info.has_site) continue;
-
-          FlowSite site;
-          site.function = f;
-          site.block = static_cast<int>(b);
-          site.inst = static_cast<int>(i);
-          site.kind = info.kind;
-          site.sinks = site_sinks(after[b][i], t, static_cast<int>(b),
-                                  static_cast<int>(i), info);
-          site.section = section_map.section_of(f, static_cast<int>(b),
-                                                static_cast<int>(i));
-
-          // Prediction priority: a full static deadness proof beats
-          // everything; then check's validated protected fact; then the
-          // sink mask (worst sink wins inside predict_from_sinks).
-          // Check's kBenign verdict is NOT allowed to override the sink
-          // evidence: its observation model is scoped to protection
-          // invariants and under-observes some value chains the flow
-          // domain does track (e.g. scalar-double arithmetic feeding a
-          // store in an unprotected build), so "never observed" there is
-          // not a masking proof. It only corroborates — the basis is
-          // recorded when flow independently found no sinks at all.
-          const prune::PruneSite* dead = pruned.find(
-              f, static_cast<int>(b), static_cast<int>(i));
-          const auto status_it = check_status.find(std::make_tuple(
-              fn.name, static_cast<int>(b), static_cast<int>(i),
-              static_cast<int>(info.kind)));
-          if (dead != nullptr && dead->fully_dead()) {
-            site.prediction = Prediction::kMasked;
-            site.basis = PredictionBasis::kPruneDead;
-          } else if (status_it != check_status.end() &&
-                     status_it->second == SiteStatus::kProtected) {
-            site.prediction = Prediction::kDetected;
-            site.basis = PredictionBasis::kCheckProtected;
-          } else if (status_it != check_status.end() &&
-                     status_it->second == SiteStatus::kBenign &&
-                     site.sinks == 0) {
-            site.prediction = Prediction::kMasked;
-            site.basis = PredictionBasis::kCheckBenign;
-          } else {
-            site.prediction = predict_from_sinks(site.sinks);
-            site.basis = PredictionBasis::kFlow;
-          }
-
-          report.profile.add(site.prediction);
-          report.by_function[static_cast<std::size_t>(f)].add(site.prediction);
-          if (site.section >= 0) {
-            report.by_section[static_cast<std::size_t>(site.section)].add(
-                site.prediction);
-          }
-          fn_index[b][i] = static_cast<std::int32_t>(report.sites.size());
-          report.sites.push_back(site);
-        }
-      }
-    }
-    return report;
-  }
-
-  const AsmProgram& prog_;
-  FlowOptions opts_;
-  std::vector<FnTables> tables_;
-  /// Per-function summary: entry state under identity exit seeds.
-  std::vector<FlowState> summaries_;
-  /// Per-function concrete caller context (sink-only exit seeds).
-  std::vector<FlowState> context_;
 };
+
+using Solver = masm::BackwardSolver<FlowState, SinkFlowTransfer>;
+
+// ------------------------------------------------ report construction --
+
+/// The sink mask of the location(s) a site writes, read off the
+/// after-state of its instruction — exactly where the flipped value
+/// resides when the fault fires.
+std::uint16_t site_sinks(const FlowState& after,
+                         const masm::ProgramTables& tables, int f, int b,
+                         int i, const masm::StaticSiteInfo& info) {
+  switch (info.kind) {
+    case FaultSiteKind::kGprWrite:
+      return after.loc[gpr_loc(info.reg)].sinks;
+    case FaultSiteKind::kXmmWrite: {
+      std::uint16_t sinks = 0;
+      for (int l = 0; l < info.lane_count; ++l) {
+        sinks |= after.loc[xmm_loc(info.xmm, info.lane_base + l)].sinks;
+      }
+      return sinks;
+    }
+    case FaultSiteKind::kFlagsWrite:
+      return after.loc[kFlagsLoc].sinks;
+    case FaultSiteKind::kStoreData:
+      // The corrupted value is already in the store stream.
+      return kSinkStore;
+    case FaultSiteKind::kBranchDecision: {
+      const int target = tables.target(f, b, i);
+      if (target >= 0 && tables.detect_block(f, target)) return kSinkDetect;
+      return kSinkBranch;
+    }
+  }
+  return 0;
+}
+
+Prediction predict_from_sinks(std::uint16_t sinks) {
+  if ((sinks & (kSinkStore | kSinkOutput)) != 0) {
+    return Prediction::kSdcVulnerable;
+  }
+  if ((sinks & (kSinkAddress | kSinkStackPtr | kSinkBranch | kSinkTrap)) !=
+      0) {
+    return Prediction::kCrashProne;
+  }
+  if ((sinks & kSinkDetect) != 0) return Prediction::kDetected;
+  return Prediction::kMasked;
+}
+
+FlowReport build_report(const masm::ProgramTables& tables,
+                        const Solver& solver, const FlowOptions& opts) {
+  const AsmProgram& prog = tables.program();
+  FlowReport report;
+  report.store_data_sites = opts.store_data_sites;
+
+  // The companion analyses the predictions fold in: prune's dead-bit
+  // proof, check's protected/benign classification, and the section
+  // decomposition for the per-section profile (which folds in the same
+  // check report). All three share the store-data knob so site
+  // enumerations line up.
+  prune::PruneOptions prune_options;
+  prune_options.store_data_sites = opts.store_data_sites;
+  const prune::PruneReport pruned = prune::prune_program(prog, prune_options);
+  CheckOptions check_options;
+  check_options.store_data_sites = opts.store_data_sites;
+  const CheckReport checked = check_program(prog, check_options);
+  sections::SectionOptions section_options;
+  section_options.store_data_sites = opts.store_data_sites;
+  const sections::SectionMap section_map =
+      sections::build_sections(prog, section_options, checked);
+
+  // check::SiteRecord keys by function *name*; index for O(1) joins.
+  std::map<std::tuple<std::string, int, int, int>, SiteStatus> check_status;
+  for (const SiteRecord& site : checked.sites) {
+    check_status.emplace(std::make_tuple(site.function, site.block, site.inst,
+                                         static_cast<int>(site.kind)),
+                         site.status);
+  }
+
+  report.by_function.resize(prog.functions.size());
+  report.by_section.resize(section_map.sections.size());
+  report.site_at_ = masm::make_inst_index(prog);
+
+  solver.for_each_site(opts.store_data_sites, [&](int f, int b, int i,
+                                                 const masm::StaticSiteInfo&
+                                                     info,
+                                                 const FlowState& after) {
+    FlowSite site;
+    site.function = f;
+    site.block = b;
+    site.inst = i;
+    site.kind = info.kind;
+    site.sinks = site_sinks(after, tables, f, b, i, info);
+    site.section = section_map.section_of(f, b, i);
+
+    // Prediction priority: a full static deadness proof beats
+    // everything; then check's validated protected fact; then the sink
+    // mask (worst sink wins inside predict_from_sinks). Check's kBenign
+    // verdict is NOT allowed to override the sink evidence: its
+    // observation model is scoped to protection invariants and
+    // under-observes some value chains the flow domain does track (e.g.
+    // scalar-double arithmetic feeding a store in an unprotected build),
+    // so "never observed" there is not a masking proof. It only
+    // corroborates — the basis is recorded when flow independently found
+    // no sinks at all.
+    const prune::PruneSite* dead = pruned.find(f, b, i);
+    const auto status_it = check_status.find(std::make_tuple(
+        prog.functions[static_cast<std::size_t>(f)].name, b, i,
+        static_cast<int>(info.kind)));
+    if (dead != nullptr && dead->fully_dead()) {
+      site.prediction = Prediction::kMasked;
+      site.basis = PredictionBasis::kPruneDead;
+    } else if (status_it != check_status.end() &&
+               status_it->second == SiteStatus::kProtected) {
+      site.prediction = Prediction::kDetected;
+      site.basis = PredictionBasis::kCheckProtected;
+    } else if (status_it != check_status.end() &&
+               status_it->second == SiteStatus::kBenign && site.sinks == 0) {
+      site.prediction = Prediction::kMasked;
+      site.basis = PredictionBasis::kCheckBenign;
+    } else {
+      site.prediction = predict_from_sinks(site.sinks);
+      site.basis = PredictionBasis::kFlow;
+    }
+
+    report.profile.add(site.prediction);
+    report.by_function[static_cast<std::size_t>(f)].add(site.prediction);
+    if (site.section >= 0) {
+      report.by_section[static_cast<std::size_t>(site.section)].add(
+          site.prediction);
+    }
+    report.site_at_[static_cast<std::size_t>(f)][static_cast<std::size_t>(b)]
+                   [static_cast<std::size_t>(i)] =
+        static_cast<std::int32_t>(report.sites.size());
+    report.sites.push_back(site);
+  });
+  return report;
+}
 
 }  // namespace
 
@@ -842,7 +607,17 @@ const char* prediction_basis_name(PredictionBasis basis) {
 
 FlowReport flow_program(const AsmProgram& program,
                         const FlowOptions& options) {
-  return Analyzer(program, options).run();
+  const masm::ProgramTables tables(program);
+  Solver solver(tables);
+  // Summaries run under identity exits: per location, the sinks the
+  // callee itself exposes and the exit locations the entry value can
+  // survive into. The concrete contexts carry no exit bits: main's exit
+  // feeds %rax to the architectural return value (an output sink), and
+  // every call site adds its own after-call state.
+  FlowState main_exit;
+  main_exit.loc[gpr_loc(Gpr::kRax)].merge(Cell::sink(kSinkOutput));
+  solver.solve({FlowState::identity_exits()}, main_exit);
+  return build_report(tables, solver, options);
 }
 
 namespace {

@@ -3,13 +3,13 @@
 #include <map>
 #include <sstream>
 #include <string>
-#include <unordered_map>
 #include <vector>
+
+#include "masm/dataflow.h"
 
 namespace ferrum::check::prune {
 namespace {
 
-using masm::AsmFunction;
 using masm::AsmInst;
 using masm::AsmProgram;
 using masm::Cond;
@@ -129,91 +129,23 @@ std::uint8_t cond_flags(Cond cc) {
   return kAllFlags;
 }
 
-// ------------------------------------------------------------- analyzer --
+// ------------------------------------------------------------- transfer --
 
-/// Callee behaviour summary for the interprocedural transfer at calls:
+/// Summary exit seeds. A callee's summary is its live-in under each:
+///   [0] l0 — exit liveness ∅   (bits the callee may read);
+///   [1] la — exit liveness ALL (l0 plus bits not surely killed on every
+///       path, i.e. an upper bound on pass-through).
+/// The interprocedural transfer at a call is then
 /// live_before = {rsp} ∪ l0 ∪ (live_after ∩ la).
-///   l0 — live-in with exit liveness ∅   (bits the callee may read);
-///   la — live-in with exit liveness ALL (l0 plus bits not surely killed
-///        on every path, i.e. an upper bound on pass-through).
-struct Summary {
-  BitState l0;
-  BitState la;
-};
+constexpr std::size_t kMayRead = 0;
+constexpr std::size_t kPassThrough = 1;
 
-constexpr int kCalleePrintInt = -2;
-constexpr int kCalleePrintF64 = -3;
-constexpr int kCalleeUnknown = -1;
-
-class Analyzer {
- public:
-  Analyzer(const AsmProgram& program, const PruneOptions& options)
-      : prog_(program), opts_(options) {
-    const int nfuncs = static_cast<int>(prog_.functions.size());
-    std::unordered_map<std::string, int> by_name;
-    for (int f = 0; f < nfuncs; ++f) by_name.emplace(prog_.functions[f].name, f);
-    tables_.resize(static_cast<std::size_t>(nfuncs));
-    for (int f = 0; f < nfuncs; ++f) {
-      const AsmFunction& fn = prog_.functions[f];
-      std::unordered_map<std::string, int> block_by_label;
-      for (int b = 0; b < static_cast<int>(fn.blocks.size()); ++b) {
-        block_by_label.emplace(fn.blocks[b].label, b);
-      }
-      auto& t = tables_[static_cast<std::size_t>(f)];
-      t.target.resize(fn.blocks.size());
-      t.callee.resize(fn.blocks.size());
-      for (std::size_t b = 0; b < fn.blocks.size(); ++b) {
-        const auto& insts = fn.blocks[b].insts;
-        t.target[b].assign(insts.size(), -1);
-        t.callee[b].assign(insts.size(), kCalleeUnknown);
-        for (std::size_t i = 0; i < insts.size(); ++i) {
-          const AsmInst& inst = insts[i];
-          if (inst.op == Op::kJmp || inst.op == Op::kJcc) {
-            auto it = block_by_label.find(inst.ops[0].label);
-            if (it != block_by_label.end()) t.target[b][i] = it->second;
-          } else if (inst.op == Op::kCall) {
-            // Builtin check precedes the function lookup, mirroring the
-            // decoder (a user function named print_int is unreachable).
-            const std::string& callee = inst.ops[0].label;
-            if (callee == "print_int") {
-              t.callee[b][i] = kCalleePrintInt;
-            } else if (callee == "print_f64") {
-              t.callee[b][i] = kCalleePrintF64;
-            } else {
-              auto it = by_name.find(callee);
-              if (it != by_name.end()) t.callee[b][i] = it->second;
-            }
-          }
-        }
-      }
-    }
-    summaries_.resize(static_cast<std::size_t>(nfuncs));
-    ret_live_.resize(static_cast<std::size_t>(nfuncs));
-  }
-
-  PruneReport run() {
-    compute_summaries();
-    compute_ret_liveness();
-    return build_report();
-  }
-
- private:
-  struct FnTables {
-    /// Resolved jcc/jmp target block index per instruction, -1 when the
-    /// label does not resolve (the VM traps on that edge).
-    std::vector<std::vector<int>> target;
-    /// Resolved callee per kCall: function index, kCalleePrint*, or
-    /// kCalleeUnknown (traps before the return-address push).
-    std::vector<std::vector<int>> callee;
-  };
-
-  /// Backward transfer of one instruction: s holds liveness *after* the
-  /// instruction on entry and *before* it on exit. Kills first, uses
-  /// second (live_before = use ∪ (after \ kill)).
-  void transfer(int f, int b, int i, const AsmInst& inst, BitState& s,
-                const std::vector<BitState>& live_in,
-                const BitState& exit_seed) const {
-    const FnTables& t = tables_[static_cast<std::size_t>(f)];
+/// Backward transfer of one instruction: s holds liveness *after* the
+/// instruction on entry and *before* it on exit. Kills first, uses
+/// second (live_before = use ∪ (after \ kill)).
+struct LiveBitsTransfer {
+  void operator()(const masm::Frame<BitState>& at, const AsmInst& inst,
+                  BitState& s) const {
     switch (inst.op) {
       case Op::kMov:
         if (inst.ops[1].is_mem()) {
@@ -275,27 +207,23 @@ class Analyzer {
       case Op::kJcc: {
         // s currently holds the fall-through liveness; join the taken
         // edge (an unresolved label traps: nothing live on that edge).
-        const int target = t.target[static_cast<std::size_t>(b)]
-                                   [static_cast<std::size_t>(i)];
-        if (target >= 0) s.join(live_in[static_cast<std::size_t>(target)]);
+        const int target = at.target();
+        if (target >= 0) s.join(at.in(target));
         s.flags |= cond_flags(inst.cc);
         return;
       }
       case Op::kJmp: {
-        const int target = t.target[static_cast<std::size_t>(b)]
-                                   [static_cast<std::size_t>(i)];
-        s = target >= 0 ? live_in[static_cast<std::size_t>(target)]
-                        : BitState{};
+        const int target = at.target();
+        s = target >= 0 ? at.in(target) : BitState{};
         return;
       }
       case Op::kCall: {
-        const int callee = t.callee[static_cast<std::size_t>(b)]
-                                   [static_cast<std::size_t>(i)];
-        if (callee == kCalleePrintInt) {
+        const int callee = at.callee();
+        if (callee == masm::ProgramTables::kPrintInt) {
           use_gpr(s, Gpr::kRdi, ~std::uint64_t{0});  // the full printed word
           return;
         }
-        if (callee == kCalleePrintF64) {
+        if (callee == masm::ProgramTables::kPrintF64) {
           use_xmm_lane(s, 0, 0);
           return;
         }
@@ -303,26 +231,27 @@ class Analyzer {
           s = BitState{};  // unknown callee traps before any effect
           return;
         }
-        const Summary& sum = summaries_[static_cast<std::size_t>(callee)];
-        BitState before = sum.l0;
+        const BitState& l0 = at.summary(callee)[kMayRead];
+        const BitState& la = at.summary(callee)[kPassThrough];
+        BitState before = l0;
         BitState pass = s;
         for (int r = 0; r < masm::kGprCount; ++r) {
-          pass.gpr[r] &= sum.la.gpr[r];
+          pass.gpr[r] &= la.gpr[r];
           before.gpr[r] |= pass.gpr[r];
         }
         for (int x = 0; x < masm::kXmmCount; ++x) {
           for (int l = 0; l < 4; ++l) {
-            pass.xmm[x][l] &= sum.la.xmm[x][l];
+            pass.xmm[x][l] &= la.xmm[x][l];
             before.xmm[x][l] |= pass.xmm[x][l];
           }
         }
-        before.flags |= static_cast<std::uint8_t>(s.flags & sum.la.flags);
+        before.flags |= static_cast<std::uint8_t>(s.flags & la.flags);
         use_gpr(before, Gpr::kRsp, ~std::uint64_t{0});  // return-address push
         s = before;
         return;
       }
       case Op::kRet:
-        s = exit_seed;
+        s = *at.exit;
         use_gpr(s, Gpr::kRsp, ~std::uint64_t{0});  // the pop
         return;
       case Op::kDetectTrap:
@@ -406,360 +335,213 @@ class Analyzer {
       }
     }
   }
+};
 
-  /// One backward sweep of block b. `s` enters holding the liveness past
-  /// the block's last instruction (free fall-through into block b+1, or
-  /// nothing past the function's end — falling off traps). Optionally
-  /// records the after-state of every instruction.
-  BitState walk_block(int f, int b, BitState s,
-                      const std::vector<BitState>& live_in,
-                      const BitState& exit_seed,
-                      std::vector<BitState>* after_out) const {
-    const auto& insts =
-        prog_.functions[static_cast<std::size_t>(f)]
-            .blocks[static_cast<std::size_t>(b)].insts;
-    if (after_out != nullptr) after_out->resize(insts.size());
-    for (int i = static_cast<int>(insts.size()) - 1; i >= 0; --i) {
-      if (after_out != nullptr) {
-        (*after_out)[static_cast<std::size_t>(i)] = s;
-      }
-      transfer(f, b, i, insts[static_cast<std::size_t>(i)], s, live_in,
-               exit_seed);
-    }
-    return s;
+using Solver = masm::BackwardSolver<BitState, LiveBitsTransfer>;
+
+// ------------------------------------------------- report construction --
+
+/// Register-granular taint footprint used by the propagation-slice
+/// signatures (equivalence only — never feeds the dead masks).
+struct TaintSet {
+  std::uint32_t gprs = 0;
+  std::uint32_t xmms = 0;
+  bool flags = false;
+  bool empty() const { return gprs == 0 && xmms == 0 && !flags; }
+};
+
+TaintSet reads_of(const AsmInst& inst) {
+  const masm::RegEffects eff = masm::effects_of(inst);
+  TaintSet t;
+  for (Gpr r : eff.gpr_reads) t.gprs |= 1u << static_cast<int>(r);
+  for (int x : eff.xmm_reads) t.xmms |= 1u << x;
+  t.flags = eff.reads_flags;
+  return t;
+}
+TaintSet writes_of(const AsmInst& inst) {
+  const masm::RegEffects eff = masm::effects_of(inst);
+  TaintSet t;
+  for (Gpr r : eff.gpr_writes) t.gprs |= 1u << static_cast<int>(r);
+  for (int x : eff.xmm_writes) t.xmms |= 1u << x;
+  t.flags = eff.writes_flags;
+  return t;
+}
+
+/// Relative dataflow slice from the site to its first sync point
+/// (store / tainted branch / call / ret / detect), FastFlip-style. Two
+/// sites with the same slice corrupt the program through the same
+/// consumer chain and land in one class. Scoped to the block: a slice
+/// that survives to the block boundary is keyed on the residual taint.
+std::string slice_signature(const std::vector<AsmInst>& insts, int i,
+                            const masm::StaticSiteInfo& info) {
+  TaintSet taint;
+  switch (info.kind) {
+    case FaultSiteKind::kGprWrite:
+      taint.gprs = 1u << static_cast<int>(info.reg);
+      break;
+    case FaultSiteKind::kXmmWrite:
+      taint.xmms = 1u << info.xmm;
+      break;
+    case FaultSiteKind::kFlagsWrite:
+      taint.flags = true;
+      break;
+    default:
+      return "";  // store/branch sites are keyed per static site
   }
-
-  /// Round-robin backward fixpoint over the function's blocks,
-  /// reflecting the VM's free fall-through (block b runs into block b+1
-  /// unless a terminator transfers elsewhere; falling past the last
-  /// block traps). Returns per-block live-in states.
-  std::vector<BitState> analyze_function(int f,
-                                         const BitState& exit_seed) const {
-    const AsmFunction& fn = prog_.functions[static_cast<std::size_t>(f)];
-    const int nblocks = static_cast<int>(fn.blocks.size());
-    std::vector<BitState> live_in(static_cast<std::size_t>(nblocks));
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (int b = nblocks - 1; b >= 0; --b) {
-        BitState seed = b + 1 < nblocks
-                            ? live_in[static_cast<std::size_t>(b + 1)]
-                            : BitState{};
-        BitState in = walk_block(f, b, std::move(seed), live_in, exit_seed,
-                                 nullptr);
-        if (!(in == live_in[static_cast<std::size_t>(b)])) {
-          live_in[static_cast<std::size_t>(b)] = in;
-          changed = true;
-        }
+  std::ostringstream sig;
+  constexpr int kMaxWalk = 48;
+  constexpr int kMaxEvents = 12;
+  int events = 0;
+  int walked = 0;
+  for (std::size_t j = static_cast<std::size_t>(i) + 1;
+       j < insts.size() && walked < kMaxWalk && events < kMaxEvents;
+       ++j, ++walked) {
+    const AsmInst& inst = insts[j];
+    const TaintSet reads = reads_of(inst);
+    const bool tainted_read = (reads.gprs & taint.gprs) != 0 ||
+                              (reads.xmms & taint.xmms) != 0 ||
+                              (reads.flags && taint.flags);
+    if (tainted_read) {
+      sig << "+" << (j - static_cast<std::size_t>(i)) << ":"
+          << masm::op_mnemonic(inst.op);
+      ++events;
+      const bool sync = inst.op == Op::kJcc || inst.op == Op::kCall ||
+                        inst.op == Op::kRet ||
+                        (inst.nops > 0 && inst.dst().is_mem()) ||
+                        inst.op == Op::kPush;
+      if (sync) {
+        sig << "!";
+        return sig.str();
       }
-    }
-    return live_in;
-  }
-
-  /// After-states for every instruction of f under a converged live_in.
-  std::vector<std::vector<BitState>> record_function(
-      int f, const std::vector<BitState>& live_in,
-      const BitState& exit_seed) const {
-    const AsmFunction& fn = prog_.functions[static_cast<std::size_t>(f)];
-    const int nblocks = static_cast<int>(fn.blocks.size());
-    std::vector<std::vector<BitState>> after(
-        static_cast<std::size_t>(nblocks));
-    for (int b = 0; b < nblocks; ++b) {
-      BitState seed = b + 1 < nblocks
-                          ? live_in[static_cast<std::size_t>(b + 1)]
-                          : BitState{};
-      walk_block(f, b, std::move(seed), live_in, exit_seed,
-                 &after[static_cast<std::size_t>(b)]);
-    }
-    return after;
-  }
-
-  /// Bottom-up may-read / pass-through summaries: optimistic ∅ start,
-  /// iterate to the least fixpoint (monotone — recursion converges).
-  void compute_summaries() {
-    const int nfuncs = static_cast<int>(prog_.functions.size());
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (int f = 0; f < nfuncs; ++f) {
-        const auto l0_in = analyze_function(f, BitState{});
-        const auto la_in = analyze_function(f, BitState::all());
-        BitState l0 = l0_in.empty() ? BitState{} : l0_in.front();
-        BitState la = la_in.empty() ? BitState{} : la_in.front();
-        Summary& sum = summaries_[static_cast<std::size_t>(f)];
-        if (!(sum.l0 == l0) || !(sum.la == la)) {
-          sum.l0 = l0;
-          sum.la = la;
-          changed = true;
-        }
+      const TaintSet writes = writes_of(inst);
+      taint.gprs |= writes.gprs;
+      taint.xmms |= writes.xmms;
+      taint.flags = taint.flags || writes.flags;
+      sig << ";";
+    } else {
+      const TaintSet writes = writes_of(inst);
+      taint.gprs &= ~writes.gprs;
+      taint.xmms &= ~writes.xmms;
+      if (writes.flags) taint.flags = false;
+      if (taint.empty()) {
+        sig << "dies+" << (j - static_cast<std::size_t>(i));
+        return sig.str();
       }
-    }
-  }
-
-  /// Top-down return-site liveness R(f): what a ret of f must preserve.
-  /// main's exit observes %rax (VmResult::return_value); every call site
-  /// of g adds its own live-after to R(g). Mutually recursive with the
-  /// final liveness, so iterate to fixpoint.
-  void compute_ret_liveness() {
-    const int nfuncs = static_cast<int>(prog_.functions.size());
-    for (int f = 0; f < nfuncs; ++f) {
-      if (prog_.functions[static_cast<std::size_t>(f)].name == "main") {
-        use_gpr(ret_live_[static_cast<std::size_t>(f)], Gpr::kRax,
-                ~std::uint64_t{0});
-      }
-    }
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (int f = 0; f < nfuncs; ++f) {
-        const auto live_in =
-            analyze_function(f, ret_live_[static_cast<std::size_t>(f)]);
-        const auto after = record_function(
-            f, live_in, ret_live_[static_cast<std::size_t>(f)]);
-        const FnTables& t = tables_[static_cast<std::size_t>(f)];
-        for (std::size_t b = 0; b < after.size(); ++b) {
-          for (std::size_t i = 0; i < after[b].size(); ++i) {
-            const int callee = t.callee[b][i];
-            if (prog_.functions[static_cast<std::size_t>(f)]
-                    .blocks[b].insts[i].op != Op::kCall ||
-                callee < 0) {
-              continue;
-            }
-            BitState& r = ret_live_[static_cast<std::size_t>(callee)];
-            BitState joined = r;
-            joined.join(after[b][i]);
-            if (!(joined == r)) {
-              r = joined;
-              changed = true;
-            }
-          }
-        }
+      if (inst.op == Op::kJmp || inst.op == Op::kRet ||
+          inst.op == Op::kDetectTrap) {
+        // Control leaves the block with live taint.
+        sig << "leave+" << (j - static_cast<std::size_t>(i));
+        return sig.str();
       }
     }
   }
+  sig << "end:g" << std::hex << taint.gprs << ":x" << taint.xmms
+      << (taint.flags ? ":F" : "");
+  return sig.str();
+}
 
-  // ------------------------------------------------- report construction --
+PruneReport build_report(const masm::ProgramTables& tables,
+                         const Solver& solver, const PruneOptions& opts) {
+  const AsmProgram& prog = tables.program();
+  PruneReport report;
+  report.store_data_sites = opts.store_data_sites;
+  report.site_at_ = masm::make_inst_index(prog);
+  std::map<std::string, std::uint32_t> class_by_signature;
 
-  /// Register-granular taint footprint used by the propagation-slice
-  /// signatures (equivalence only — never feeds the dead masks).
-  struct TaintSet {
-    std::uint32_t gprs = 0;
-    std::uint32_t xmms = 0;
-    bool flags = false;
-    bool empty() const { return gprs == 0 && xmms == 0 && !flags; }
-  };
+  solver.for_each_site(opts.store_data_sites, [&](int f, int b, int i,
+                                                 const masm::StaticSiteInfo&
+                                                     info,
+                                                 const BitState& live) {
+    const auto& insts = prog.functions[static_cast<std::size_t>(f)]
+                            .blocks[static_cast<std::size_t>(b)]
+                            .insts;
+    PruneSite site;
+    site.function = f;
+    site.block = b;
+    site.inst = i;
+    site.kind = info.kind;
+    site.bit_space = info.bit_space;
 
-  static TaintSet reads_of(const AsmInst& inst) {
-    const masm::RegEffects eff = masm::effects_of(inst);
-    TaintSet t;
-    for (Gpr r : eff.gpr_reads) t.gprs |= 1u << static_cast<int>(r);
-    for (int x : eff.xmm_reads) t.xmms |= 1u << x;
-    t.flags = eff.reads_flags;
-    return t;
-  }
-  static TaintSet writes_of(const AsmInst& inst) {
-    const masm::RegEffects eff = masm::effects_of(inst);
-    TaintSet t;
-    for (Gpr r : eff.gpr_writes) t.gprs |= 1u << static_cast<int>(r);
-    for (int x : eff.xmm_writes) t.xmms |= 1u << x;
-    t.flags = eff.writes_flags;
-    return t;
-  }
-
-  /// Relative dataflow slice from the site to its first sync point
-  /// (store / tainted branch / call / ret / detect), FastFlip-style. Two
-  /// sites with the same slice corrupt the program through the same
-  /// consumer chain and land in one class. Scoped to the block: a slice
-  /// that survives to the block boundary is keyed on the residual taint.
-  std::string slice_signature(int f, int b, int i,
-                              const masm::StaticSiteInfo& info) const {
-    const auto& insts = prog_.functions[static_cast<std::size_t>(f)]
-                            .blocks[static_cast<std::size_t>(b)].insts;
-    TaintSet taint;
     switch (info.kind) {
       case FaultSiteKind::kGprWrite:
-        taint.gprs = 1u << static_cast<int>(info.reg);
+        // The flip lands on the merged 64-bit value, so deadness is over
+        // all 64 bits of the destination — including the preserved upper
+        // bits of a narrow write.
+        site.dead_mask[0] = ~live.gpr[static_cast<int>(info.reg)];
         break;
       case FaultSiteKind::kXmmWrite:
-        taint.xmms = 1u << info.xmm;
+        for (int l = 0; l < info.lane_count; ++l) {
+          site.dead_mask[static_cast<std::size_t>(l)] =
+              ~live.xmm[info.xmm][info.lane_base + l];
+        }
         break;
       case FaultSiteKind::kFlagsWrite:
-        taint.flags = true;
+        site.dead_mask[0] =
+            static_cast<std::uint64_t>(~live.flags & kAllFlags);
         break;
-      default:
-        return "";  // store/branch sites are keyed per static site
-    }
-    std::ostringstream sig;
-    constexpr int kMaxWalk = 48;
-    constexpr int kMaxEvents = 12;
-    int events = 0;
-    int walked = 0;
-    for (std::size_t j = static_cast<std::size_t>(i) + 1;
-         j < insts.size() && walked < kMaxWalk && events < kMaxEvents;
-         ++j, ++walked) {
-      const AsmInst& inst = insts[j];
-      const TaintSet reads = reads_of(inst);
-      const bool tainted_read = (reads.gprs & taint.gprs) != 0 ||
-                                (reads.xmms & taint.xmms) != 0 ||
-                                (reads.flags && taint.flags);
-      if (tainted_read) {
-        sig << "+" << (j - static_cast<std::size_t>(i)) << ":"
-            << masm::op_mnemonic(inst.op);
-        ++events;
-        const bool sync = inst.op == Op::kJcc || inst.op == Op::kCall ||
-                          inst.op == Op::kRet ||
-                          (inst.nops > 0 && inst.dst().is_mem()) ||
-                          inst.op == Op::kPush;
-        if (sync) {
-          sig << "!";
-          return sig.str();
+      case FaultSiteKind::kStoreData:
+        // Memory is untracked: no store bit is ever claimed dead.
+        break;
+      case FaultSiteKind::kBranchDecision:
+        // Flipping `taken` is invisible exactly when the taken edge and
+        // the fall-through resolve to the same next pc: the jcc ends its
+        // block and targets the next block.
+        if (static_cast<std::size_t>(i) + 1 == insts.size() &&
+            tables.target(f, b, i) == b + 1) {
+          site.dead_mask[0] = 1;
         }
-        const TaintSet writes = writes_of(inst);
-        taint.gprs |= writes.gprs;
-        taint.xmms |= writes.xmms;
-        taint.flags = taint.flags || writes.flags;
-        sig << ";";
+        break;
+    }
+
+    const int dead = site.dead_bits();
+    report.dead_bits += static_cast<std::uint64_t>(dead);
+    report.total_bits += static_cast<std::uint64_t>(site.bit_space);
+    if (dead == site.bit_space) {
+      site.class_id = kDeadClass;
+      ++report.fully_dead_sites;
+    } else {
+      std::ostringstream key;
+      key << masm::fault_site_kind_name(info.kind) << ":bs" << site.bit_space
+          << ":dm" << std::hex << site.dead_mask[0] << ","
+          << site.dead_mask[1] << "," << site.dead_mask[2] << ","
+          << site.dead_mask[3] << std::dec << ":f" << f << ":b" << b;
+      const std::string slice = slice_signature(insts, i, info);
+      if (slice.empty()) {
+        key << ":i" << i;  // store/branch: one class per static site
       } else {
-        const TaintSet writes = writes_of(inst);
-        taint.gprs &= ~writes.gprs;
-        taint.xmms &= ~writes.xmms;
-        if (writes.flags) taint.flags = false;
-        if (taint.empty()) {
-          sig << "dies+" << (j - static_cast<std::size_t>(i));
-          return sig.str();
-        }
-        if (inst.op == Op::kJmp || inst.op == Op::kRet ||
-            inst.op == Op::kDetectTrap) {
-          // Control leaves the block with live taint.
-          sig << "leave+" << (j - static_cast<std::size_t>(i));
-          return sig.str();
-        }
+        key << ":" << slice;
       }
-    }
-    sig << "end:g" << std::hex << taint.gprs << ":x" << taint.xmms
-        << (taint.flags ? ":F" : "");
-    return sig.str();
-  }
-
-  PruneReport build_report() {
-    PruneReport report;
-    report.store_data_sites = opts_.store_data_sites;
-    const int nfuncs = static_cast<int>(prog_.functions.size());
-    report.site_at_.resize(static_cast<std::size_t>(nfuncs));
-    std::map<std::string, std::uint32_t> class_by_signature;
-
-    for (int f = 0; f < nfuncs; ++f) {
-      const AsmFunction& fn = prog_.functions[static_cast<std::size_t>(f)];
-      const auto live_in =
-          analyze_function(f, ret_live_[static_cast<std::size_t>(f)]);
-      const auto after =
-          record_function(f, live_in, ret_live_[static_cast<std::size_t>(f)]);
-      const FnTables& t = tables_[static_cast<std::size_t>(f)];
-      auto& fn_index = report.site_at_[static_cast<std::size_t>(f)];
-      fn_index.resize(fn.blocks.size());
-      for (std::size_t b = 0; b < fn.blocks.size(); ++b) {
-        const auto& insts = fn.blocks[b].insts;
-        fn_index[b].assign(insts.size(), -1);
-        for (std::size_t i = 0; i < insts.size(); ++i) {
-          const AsmInst& inst = insts[i];
-          const bool pushes_ret =
-              inst.op != Op::kCall || t.callee[b][i] >= 0;
-          const masm::StaticSiteInfo info =
-              masm::static_site_of(inst, opts_.store_data_sites, pushes_ret);
-          if (!info.has_site) continue;
-
-          PruneSite site;
-          site.function = f;
-          site.block = static_cast<int>(b);
-          site.inst = static_cast<int>(i);
-          site.kind = info.kind;
-          site.bit_space = info.bit_space;
-
-          const BitState& live = after[b][i];
-          switch (info.kind) {
-            case FaultSiteKind::kGprWrite:
-              // The flip lands on the merged 64-bit value, so deadness
-              // is over all 64 bits of the destination — including the
-              // preserved upper bits of a narrow write.
-              site.dead_mask[0] = ~live.gpr[static_cast<int>(info.reg)];
-              break;
-            case FaultSiteKind::kXmmWrite:
-              for (int l = 0; l < info.lane_count; ++l) {
-                site.dead_mask[static_cast<std::size_t>(l)] =
-                    ~live.xmm[info.xmm][info.lane_base + l];
-              }
-              break;
-            case FaultSiteKind::kFlagsWrite:
-              site.dead_mask[0] =
-                  static_cast<std::uint64_t>(~live.flags & kAllFlags);
-              break;
-            case FaultSiteKind::kStoreData:
-              // Memory is untracked: no store bit is ever claimed dead.
-              break;
-            case FaultSiteKind::kBranchDecision:
-              // Flipping `taken` is invisible exactly when the taken
-              // edge and the fall-through resolve to the same next pc:
-              // the jcc ends its block and targets the next block.
-              if (i + 1 == insts.size() &&
-                  t.target[b][i] == static_cast<int>(b) + 1) {
-                site.dead_mask[0] = 1;
-              }
-              break;
-          }
-
-          int dead = site.dead_bits();
-          report.dead_bits += static_cast<std::uint64_t>(dead);
-          report.total_bits += static_cast<std::uint64_t>(site.bit_space);
-          if (dead == site.bit_space) {
-            site.class_id = kDeadClass;
-            ++report.fully_dead_sites;
-          } else {
-            std::ostringstream key;
-            key << masm::fault_site_kind_name(info.kind) << ":bs"
-                << site.bit_space << ":dm" << std::hex << site.dead_mask[0]
-                << "," << site.dead_mask[1] << "," << site.dead_mask[2]
-                << "," << site.dead_mask[3] << std::dec << ":f" << f << ":b"
-                << b;
-            const std::string slice = slice_signature(
-                f, static_cast<int>(b), static_cast<int>(i), info);
-            if (slice.empty()) {
-              key << ":i" << i;  // store/branch: one class per static site
-            } else {
-              key << ":" << slice;
-            }
-            auto [it, inserted] = class_by_signature.emplace(
-                key.str(), static_cast<std::uint32_t>(report.classes.size()));
-            site.class_id = it->second;
-            if (inserted) {
-              PruneClass cls;
-              cls.id = it->second;
-              cls.signature = it->first;
-              cls.representative =
-                  static_cast<std::uint32_t>(report.sites.size());
-              report.classes.push_back(std::move(cls));
-            }
-            ++report.classes[it->second].static_members;
-          }
-          fn_index[b][i] = static_cast<std::int32_t>(report.sites.size());
-          report.sites.push_back(site);
-        }
+      auto [it, inserted] = class_by_signature.emplace(
+          key.str(), static_cast<std::uint32_t>(report.classes.size()));
+      site.class_id = it->second;
+      if (inserted) {
+        PruneClass cls;
+        cls.id = it->second;
+        cls.signature = it->first;
+        cls.representative = static_cast<std::uint32_t>(report.sites.size());
+        report.classes.push_back(std::move(cls));
       }
+      ++report.classes[it->second].static_members;
     }
-    return report;
-  }
-
-  const AsmProgram& prog_;
-  PruneOptions opts_;
-  std::vector<FnTables> tables_;
-  std::vector<Summary> summaries_;
-  std::vector<BitState> ret_live_;
-};
+    report.site_at_[static_cast<std::size_t>(f)][static_cast<std::size_t>(b)]
+                   [static_cast<std::size_t>(i)] =
+        static_cast<std::int32_t>(report.sites.size());
+    report.sites.push_back(site);
+  });
+  return report;
+}
 
 }  // namespace
 
 PruneReport prune_program(const AsmProgram& program,
                           const PruneOptions& options) {
-  return Analyzer(program, options).run();
+  const masm::ProgramTables tables(program);
+  Solver solver(tables);
+  // main's exit observes %rax (VmResult::return_value).
+  BitState main_exit;
+  use_gpr(main_exit, Gpr::kRax, ~std::uint64_t{0});
+  solver.solve({BitState{}, BitState::all()}, main_exit);
+  return build_report(tables, solver, options);
 }
 
 telemetry::Json to_json(const PruneReport& report,

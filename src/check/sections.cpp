@@ -3,7 +3,7 @@
 #include <unordered_map>
 
 #include "check/check.h"
-#include "masm/fault_site.h"
+#include "masm/dataflow.h"
 #include "support/hash.h"
 
 namespace ferrum::check::sections {
@@ -27,16 +27,6 @@ Boundary sync_kind(const AsmInst& inst) {
   }
   return masm::effects_of(inst).writes_mem ? Boundary::kStore
                                            : Boundary::kBlockEnd;
-}
-
-/// Whether one executed instance of a call pushes its return address
-/// (mirrors the decoder: builtin check precedes the function lookup, an
-/// unresolved callee traps before the push).
-bool call_pushes_ret(const masm::AsmProgram& program, const AsmInst& inst) {
-  if (inst.op != Op::kCall) return true;
-  const std::string& callee = inst.ops[0].label;
-  if (callee == "print_int" || callee == "print_f64") return false;
-  return program.find_function(callee) != nullptr;
 }
 
 std::string live_name(int bit) {
@@ -70,15 +60,22 @@ const char* boundary_name(Boundary boundary) {
 
 SectionMap build_sections(const masm::AsmProgram& program,
                           const SectionOptions& options) {
+  return build_sections(
+      program, options,
+      check_program(program, CheckOptions{options.store_data_sites}));
+}
+
+SectionMap build_sections(const masm::AsmProgram& program,
+                          const SectionOptions& options,
+                          const CheckReport& check) {
+  const masm::ProgramTables tables(program);
   SectionMap map;
-  map.section_at.resize(program.functions.size());
+  map.section_at = masm::make_inst_index(program);
   for (std::size_t f = 0; f < program.functions.size(); ++f) {
     const masm::AsmFunction& fn = program.functions[f];
     const masm::Liveness liveness(fn);
-    map.section_at[f].resize(fn.blocks.size());
     for (std::size_t b = 0; b < fn.blocks.size(); ++b) {
       const auto& insts = fn.blocks[b].insts;
-      map.section_at[f][b].assign(insts.size(), -1);
       std::size_t start = 0;
       while (start < insts.size()) {
         // Extend to the first sync point at-or-after `start` (inclusive),
@@ -103,10 +100,11 @@ SectionMap build_sections(const masm::AsmProgram& program,
           const std::string text = insts[i].to_string() + "\n";
           sha.update(text.data(), text.size());
           map.section_at[f][b][i] = section.id;
-          const masm::StaticSiteInfo site = masm::static_site_of(
-              insts[i], options.store_data_sites,
-              call_pushes_ret(program, insts[i]));
-          if (site.has_site) ++section.static_sites;
+          if (tables.site_of(static_cast<int>(f), static_cast<int>(b),
+                             static_cast<int>(i), options.store_data_sites)
+                  .has_site) {
+            ++section.static_sites;
+          }
         }
         section.code_sha256 = sha.hex_digest();
         section.interface.live_in =
@@ -131,8 +129,6 @@ SectionMap build_sections(const masm::AsmProgram& program,
   for (std::size_t f = 0; f < program.functions.size(); ++f) {
     fn_index.emplace(program.functions[f].name, static_cast<int>(f));
   }
-  const CheckReport check =
-      check_program(program, CheckOptions{options.store_data_sites});
   for (const SiteRecord& site : check.sites) {
     const auto it = fn_index.find(site.function);
     if (it == fn_index.end()) continue;
@@ -188,14 +184,15 @@ telemetry::Json to_json(const SectionMap& map,
 
   // One row per static fault site, in program order, naming its section
   // — the per-site membership `ferrumc sites` / lint=json expose.
+  const masm::ProgramTables tables(program);
   telemetry::Json site_rows = telemetry::Json::array();
   for (std::size_t f = 0; f < program.functions.size(); ++f) {
     const masm::AsmFunction& fn = program.functions[f];
     for (std::size_t b = 0; b < fn.blocks.size(); ++b) {
       for (std::size_t i = 0; i < fn.blocks[b].insts.size(); ++i) {
-        const AsmInst& inst = fn.blocks[b].insts[i];
-        const masm::StaticSiteInfo site = masm::static_site_of(
-            inst, options.store_data_sites, call_pushes_ret(program, inst));
+        const masm::StaticSiteInfo site =
+            tables.site_of(static_cast<int>(f), static_cast<int>(b),
+                           static_cast<int>(i), options.store_data_sites);
         if (!site.has_site) continue;
         telemetry::Json row = telemetry::Json::object();
         row["function"] = fn.name;

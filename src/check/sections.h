@@ -33,6 +33,10 @@
 #include "masm/masm.h"
 #include "telemetry/json.h"
 
+namespace ferrum::check {
+struct CheckReport;
+}  // namespace ferrum::check
+
 namespace ferrum::check::sections {
 
 /// Why a section ends where it does. Every kind except kBlockEnd names a
@@ -103,9 +107,17 @@ struct SectionMap {
 };
 
 /// Decomposes the program. Deterministic: depends only on the program
-/// text and options.
+/// text and options. Runs check_program for the per-section site
+/// classification.
 SectionMap build_sections(const masm::AsmProgram& program,
                           const SectionOptions& options = {});
+
+/// The same decomposition folding in a check report the caller already
+/// has; it must come from check_program on `program` with
+/// store_data_sites equal to options.store_data_sites.
+SectionMap build_sections(const masm::AsmProgram& program,
+                          const SectionOptions& options,
+                          const CheckReport& check);
 
 /// Deterministic JSON: the section table (with interfaces) plus a
 /// per-fault-site membership table ("sites": every static fault site with

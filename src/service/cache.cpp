@@ -4,10 +4,31 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string_view>
+
+#include "support/hash.h"
 
 namespace ferrum::service {
 
 namespace {
+
+constexpr std::string_view kEntryMagic = "ferrum-cache-v1 ";
+
+/// The value bytes of a disk entry, or nullopt when its header is missing
+/// or its digest does not match the bytes that follow.
+std::optional<std::string> verified_value(const std::string& file) {
+  const std::size_t digest_at = kEntryMagic.size();
+  const std::size_t value_at = digest_at + 64 + 1;
+  if (file.size() < value_at || file.compare(0, digest_at, kEntryMagic) != 0 ||
+      file[value_at - 1] != '\n') {
+    return std::nullopt;
+  }
+  std::string value = file.substr(value_at);
+  if (sha256_hex(value) != std::string_view(file).substr(digest_at, 64)) {
+    return std::nullopt;
+  }
+  return value;
+}
 
 bool plausible_key(const std::string& key) {
   if (key.size() != 64) return false;
@@ -21,7 +42,8 @@ bool plausible_key(const std::string& key) {
 
 }  // namespace
 
-ResultCache::ResultCache(std::string dir) : dir_(std::move(dir)) {
+ResultCache::ResultCache(std::string dir, telemetry::Registry* metrics)
+    : dir_(std::move(dir)), metrics_(metrics) {
   if (dir_.empty()) return;
   std::error_code ec;
   std::filesystem::create_directories(dir_, ec);
@@ -46,14 +68,23 @@ std::optional<std::string> ResultCache::lookup(const std::string& key) {
     if (it != memory_.end()) return it->second;
   }
   if (dir_.empty()) return std::nullopt;
-  std::ifstream in(file_path(key), std::ios::binary);
+  const std::string path = file_path(key);
+  std::ifstream in(path, std::ios::binary);
   if (!in) return std::nullopt;
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  std::string bytes = buffer.str();
   if (!in.good() && !in.eof()) return std::nullopt;
+  in.close();
+  std::optional<std::string> bytes = verified_value(buffer.str());
+  if (!bytes.has_value()) {
+    if (metrics_ != nullptr) metrics_->counter("service/cache/corrupt").add(1);
+    std::fprintf(stderr, "warning: dropping corrupt cache entry %s\n",
+                 path.c_str());
+    std::remove(path.c_str());
+    return std::nullopt;
+  }
   std::lock_guard<std::mutex> lock(mutex_);
-  return memory_.emplace(key, std::move(bytes)).first->second;
+  return memory_.emplace(key, std::move(*bytes)).first->second;
 }
 
 void ResultCache::store(const std::string& key, const std::string& bytes,
@@ -79,7 +110,10 @@ void ResultCache::store(const std::string& key, const std::string& bytes,
                  tmp.c_str());
     return;
   }
+  const std::string header =
+      std::string(kEntryMagic) + sha256_hex(bytes) + "\n";
   const bool ok =
+      std::fwrite(header.data(), 1, header.size(), file) == header.size() &&
       std::fwrite(bytes.data(), 1, bytes.size(), file) == bytes.size();
   std::fclose(file);
   if (!ok) {

@@ -11,6 +11,12 @@
 // (one "<key>.json" file per entry, written via temp-file + rename so a
 // crashed daemon never leaves a torn entry). The directory makes cached
 // cells survive daemon restarts and lets daemons share a store.
+//
+// The disk tier does not trust its bytes: each file starts with a line
+// "ferrum-cache-v1 <sha256 of the value>" and a lookup verifies it. A
+// truncated, bit-flipped or headerless file is a miss, never a result:
+// it is counted in "service/cache/corrupt" and deleted, so the next
+// store of the key writes a good entry.
 #pragma once
 
 #include <cstddef>
@@ -19,14 +25,18 @@
 #include <string>
 #include <unordered_map>
 
+#include "telemetry/metrics.h"
+
 namespace ferrum::service {
 
 class ResultCache {
  public:
   /// `dir` empty = memory-only. A non-empty directory is created if
   /// missing; failure to create it degrades to memory-only with a
-  /// warning on stderr (the daemon keeps serving).
-  explicit ResultCache(std::string dir);
+  /// warning on stderr (the daemon keeps serving). Corrupt disk entries
+  /// are counted in `metrics` when given.
+  explicit ResultCache(std::string dir,
+                       telemetry::Registry* metrics = nullptr);
 
   /// The stored bytes for `key`, or nullopt. A disk entry found on a
   /// memory miss is promoted into memory.
@@ -54,6 +64,7 @@ class ResultCache {
   mutable std::mutex mutex_;
   std::unordered_map<std::string, std::string> memory_;
   std::string dir_;
+  telemetry::Registry* metrics_;
 };
 
 }  // namespace ferrum::service

@@ -60,7 +60,7 @@ telemetry::Json status_to_json(const JobStatus& status) {
 }  // namespace
 
 Daemon::Daemon(ServiceOptions options)
-    : options_(std::move(options)), cache_(options_.cache_dir) {
+    : options_(std::move(options)), cache_(options_.cache_dir, &metrics_) {
   if (options_.workers < 1) options_.workers = 1;
   queues_.resize(static_cast<std::size_t>(options_.workers));
   workers_.reserve(static_cast<std::size_t>(options_.workers));

@@ -161,8 +161,8 @@ class Daemon {
       const std::string& program_sha256, bool store_data);
 
   ServiceOptions options_;
+  telemetry::Registry metrics_;  // before cache_, which counts into it
   ResultCache cache_;
-  telemetry::Registry metrics_;
 
   mutable std::mutex mutex_;            // jobs_, queues_, stop_workers_
   std::condition_variable work_cv_;     // workers: new task / shutdown

@@ -7,7 +7,13 @@
 
 #include <cstring>
 
+#include "check/check.h"
+#include "check/flow.h"
+#include "check/prune.h"
+#include "check/sections.h"
 #include "pipeline/pipeline.h"
+#include "pipeline/selective.h"
+#include "support/hash.h"
 #include "vm/vm.h"
 #include "workloads/workloads.h"
 
@@ -99,6 +105,126 @@ TEST(Goldens, FloatOutputsAreFinite) {
     EXPECT_TRUE(value == value) << name << " produced NaN";
     EXPECT_LT(value, 1e15) << name;
     EXPECT_GT(value, -1e15) << name;
+  }
+}
+
+/// The selective-plan ordinals of a workload's unprotected build at
+/// budgets {0.25, 0.5} x strategies {analysis, random}, one line each.
+std::string plan_ordinals(const std::string& workload) {
+  const auto build =
+      pipeline::build(workloads::by_name(workload).source, Technique::kNone);
+  std::string out;
+  for (const double budget : {0.25, 0.5}) {
+    for (const auto strategy : {pipeline::SelectiveOptions::Strategy::kAnalysis,
+                                pipeline::SelectiveOptions::Strategy::kRandom}) {
+      pipeline::SelectiveOptions options;
+      options.strategy = strategy;
+      options.budget = budget;
+      const pipeline::SelectivePlan plan =
+          pipeline::plan_selective(build.program, options, {});
+      out += pipeline::selective_strategy_name(strategy);
+      out += "@" + std::to_string(budget) + ":";
+      for (const int ordinal : plan.selected) {
+        out += " " + std::to_string(ordinal);
+      }
+      out += "\n";
+    }
+  }
+  return out;
+}
+
+/// SHA-256 over the exact to_json dumps of check, prune, sections and
+/// flow for one build, at store-data sites off and then on, followed by
+/// the workload's plan ordinals.
+std::string static_reports_digest(const masm::AsmProgram& program,
+                                  const std::string& plans) {
+  Sha256 sha;
+  for (const bool store_data : {false, true}) {
+    const std::string reports[] = {
+        check::to_json(check::check_program(program, {store_data})).dump(),
+        check::prune::to_json(check::prune::prune_program(program, {store_data}),
+                              program)
+            .dump(),
+        check::sections::to_json(
+            check::sections::build_sections(program, {store_data}), program,
+            {store_data})
+            .dump(),
+        check::flow::to_json(check::flow::flow_program(program, {store_data}),
+                             program)
+            .dump(),
+    };
+    for (const std::string& report : reports) {
+      sha.update(report);
+      sha.update("\n");
+    }
+  }
+  sha.update(plans);
+  return sha.hex_digest();
+}
+
+TEST(Goldens, StaticReportsPinned) {
+  // Byte pins on the static analyses' outputs. FlowDeterminism and
+  // flow_smoke check that a report is stable run to run; these check
+  // that it is the same report: any change to check, prune, sections or
+  // flow (or to the selective planner on top of flow) that shifts one
+  // byte of lint=json / sites / plan output fails here. Regenerate only
+  // for a deliberate output change, from the digests this test prints.
+  struct Pin {
+    const char* workload;
+    const char* digest[4];  // none, ir-eddi, hybrid, ferrum
+  };
+  const Pin pins[] = {
+      {"backprop",
+       {"501b7920ffaedf72611639d2bbb68e1582addae2700517f5d273daf34fb5cc09",
+        "7015a25c0d8fa3442d51fea81a2cad7ffba938e514c7753a01704bca8ae9a11c",
+        "11e9dcffae1949ed2287db3433eb25f760f500c60894176a5adb4cc09cc518db",
+        "854c6c48cbeb13abec2a3490595be26129f37199f3deae567d74b8125d7448c7"}},
+      {"bfs",
+       {"e428665f6fbf92639efac595782e259c6bdfc1ca35d23456c7b0e6d266ca76aa",
+        "ad5769011ac6ae642f3f416912eeaf93c30578cca8c9825df8826fdeeebba4aa",
+        "64e055bcf9738939d4c034a5fec2c2ec9fc66265c8ff633fc6023cf97a88aa06",
+        "ef625899820347600d930411f482db29ef7033454e29903a991135d9c180050d"}},
+      {"pathfinder",
+       {"3aa7eb07a67aa30d11befdb70b430c3dfd54b31f5a2610b929ed500dfc40b79b",
+        "e9fadcba85af6fb7724678233b79128491b589a35ae94064af542ba121472cec",
+        "695549c4b50149e6a7a5768b2409cc6d5fed651b183f8f79b8d02a91ebd310f0",
+        "3dd2f6fb1b68d479c248e3974d70a2eaa0b3e31620f249c6aedd0f29a173383e"}},
+      {"lud",
+       {"b8207578c94aaedef102e471c8b62e6650e6c80f347e826c093e62e5d0e94a26",
+        "df02b1d558349ad90b959c24d0a3515a20f53d322b0620f38210949e27456d52",
+        "f3ea828d33dde3977cf3521bdc3d3cff73c3058067d45bcc4df7b1b4fd5cc125",
+        "5e615e1fb07a174491436b29d8e3d8906489ad66b7a8d73a0748e149b521df62"}},
+      {"needle",
+       {"423f9038a621648abd6d7b60b4a7ceb4ba1b2bbdbe21b5008477e660979ba004",
+        "65aa92c9e68207f4c3512979b248f7b8d9ea0e4ca700e5cacabd206672e91399",
+        "4a010877c85fb9a2d90c4ef53eefcede67a529ebc71763ba95b1982e46fded1e",
+        "599e2edc87bc5a6a130d0cce683aa7b0e9507d92ec35b0db2df844a6c6a68a23"}},
+      {"knn",
+       {"8d7a118cf959d94e07d36ac42ed2262a1d3b69a8ba854e5edc61f393d05ebe9f",
+        "53b15f985c1762168d83cd99c22eeac37930d39c19620ad5988d66676d3ddbe6",
+        "b8bd12cfc935925b98815f4c922986d44907f59acdac09edc2953f99612d1cfa",
+        "a250294cf063e437614bd852e5a6e012f4f069f4ba3326e6f54078ce9f229af9"}},
+      {"kmeans",
+       {"46c35812d98ea0169bc2d702bc1f28f3df3837fffcb0e821519a9a5c3624d963",
+        "ace003332d26dd1e76f076772e5d59f03b7d1ff67f6aa2e6835e5ca20aca1592",
+        "745f52adf06e9c3e69880a636f41784caae2209de125b65bae885708487e458c",
+        "a4d3215e4e373844a2a6e0a72fb62e50095a36b6b48e8a93644268f1d6bc2c18"}},
+      {"particlefilter",
+       {"c6f324c4b44b53e3bcf4a3ce20f05297c6f255bf88d11110f023bc461aafbcd4",
+        "0fc5738aee27a902bb9bd4d516229190906baec7a3a8c04c5200712c52d39240",
+        "2e6d3559e6d80c38abf01aeebeb2376b4f768fbc5c09ddf4a5c3debe1c648ddc",
+        "4d46e3c266e6d15ba403425b914464f260c8d2cae764415c45c46ebb8f507e17"}},
+  };
+  const Technique techniques[] = {Technique::kNone, Technique::kIrEddi,
+                                  Technique::kHybrid, Technique::kFerrum};
+  for (const Pin& pin : pins) {
+    const std::string plans = plan_ordinals(pin.workload);
+    for (int t = 0; t < 4; ++t) {
+      const auto build = pipeline::build(
+          workloads::by_name(pin.workload).source, techniques[t]);
+      EXPECT_EQ(static_reports_digest(build.program, plans), pin.digest[t])
+          << pin.workload << "/" << pipeline::technique_name(techniques[t]);
+    }
   }
 }
 

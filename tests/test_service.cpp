@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <string>
 #include <thread>
@@ -455,6 +456,49 @@ TEST(ResultCache, DiskEntriesSurviveTheInstance) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(ResultCache, CorruptDiskEntriesMissAndAreCounted) {
+  // The disk tier verifies each entry's digest: a truncated entry and a
+  // bit-flipped one both read as misses (never as results) and each is
+  // counted once in service/cache/corrupt. A good entry next to them
+  // still hits.
+  const std::string dir = "tsvc-cache-bad-" + std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  const std::string value = "{\"stored\":true,\"trials\":1000}";
+  {
+    service::ResultCache cache(dir);
+    for (const char fill : {'d', 'e', 'f'}) cache.store(test_key(fill), value);
+  }
+  const auto path = [&](char fill) { return dir + "/" + test_key(fill) + ".json"; };
+  std::filesystem::resize_file(path('d'),
+                               std::filesystem::file_size(path('d')) - 3);
+  {
+    std::fstream file(path('e'), std::ios::in | std::ios::out |
+                                     std::ios::binary);
+    file.seekg(-5, std::ios::end);
+    const char byte = static_cast<char>(file.get());
+    file.seekp(-5, std::ios::end);
+    file.put(static_cast<char>(byte ^ 0x01));
+  }
+  telemetry::Registry metrics;
+  service::ResultCache reopened(dir, &metrics);
+  EXPECT_FALSE(reopened.lookup(test_key('d')).has_value());
+  EXPECT_FALSE(reopened.lookup(test_key('e')).has_value());
+  const auto good = reopened.lookup(test_key('f'));
+  ASSERT_TRUE(good.has_value());
+  EXPECT_EQ(*good, value);
+  EXPECT_EQ(metrics.counter("service/cache/corrupt").value(), 2u);
+  // A corrupt entry is dropped, so looking it up again is a plain miss,
+  // and storing the key again writes an entry that reads back.
+  EXPECT_FALSE(reopened.lookup(test_key('d')).has_value());
+  EXPECT_EQ(metrics.counter("service/cache/corrupt").value(), 2u);
+  reopened.store(test_key('d'), value);
+  service::ResultCache again(dir, &metrics);
+  ASSERT_TRUE(again.lookup(test_key('d')).has_value());
+  EXPECT_EQ(*again.lookup(test_key('d')), value);
+  EXPECT_EQ(metrics.counter("service/cache/corrupt").value(), 2u);
+  std::filesystem::remove_all(dir);
+}
+
 // ---------------------------------------------------------------------
 // Daemon (in-process API).
 
@@ -506,6 +550,40 @@ TEST(Service, ColdThenWarmIsByteIdenticalWithZeroNewTrials) {
             executed_after_cold);
   EXPECT_EQ(counter_value(daemon, "service/cache/hits"), 1u);
   EXPECT_EQ(counter_value(daemon, "service/cache/misses"), 1u);
+}
+
+TEST(Service, CorruptDiskEntryIsRecomputedNotServed) {
+  // A restarted daemon meets a bit-flipped disk entry: the cell runs
+  // again, the corruption is counted, and the answer matches the cold one.
+  const std::string dir = "tsvc-cache-svc-" + std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  std::string cold_bytes;
+  std::string key;
+  {
+    service::Daemon daemon({2, dir});
+    const service::CellOutcome* cold =
+        daemon.wait_cell(daemon.submit({tiny_cell()}), 0);
+    ASSERT_NE(cold, nullptr);
+    ASSERT_TRUE(cold->error.empty()) << cold->error;
+    cold_bytes = cold->result_json;
+    key = cold->key;
+  }
+  {
+    std::fstream file(dir + "/" + key + ".json",
+                      std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(file.good());
+    file.seekp(-2, std::ios::end);
+    file.put('#');
+  }
+  service::Daemon restarted({2, dir});
+  const service::CellOutcome* again =
+      restarted.wait_cell(restarted.submit({tiny_cell()}), 0);
+  ASSERT_NE(again, nullptr);
+  EXPECT_FALSE(again->cached);
+  EXPECT_EQ(again->result_json, cold_bytes);
+  EXPECT_EQ(counter_value(restarted, "service/cache/corrupt"), 1u);
+  EXPECT_EQ(counter_value(restarted, "service/cache/misses"), 1u);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Service, WarmAcrossEngineKnobs) {
