@@ -312,7 +312,7 @@ int main() {
                           vm::fault_kind_name(site.kind)};
         const auto it = predicted.find(key);
         if (it == predicted.end()) continue;
-        const bool saw_sdc = site.of(fault::ProbeOutcome::kSdc) > 0;
+        const bool saw_sdc = site.of(fault::Outcome::kSdc) > 0;
         if (it->second == Prediction::kSdcVulnerable) {
           ++vuln_exercised;
           if (saw_sdc) ++vuln_hit;

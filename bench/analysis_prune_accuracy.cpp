@@ -151,15 +151,15 @@ CellValidation validate_cell(const masm::AsmProgram& program,
           if (probes[i].pilot < 0) {
             bad[i] = identical_to_golden(run, golden) ? 0 : 1;
           } else {
-            fault::ProbeOutcome outcome;
+            fault::Outcome outcome;
             if (run.status == vm::ExitStatus::kDetected) {
-              outcome = fault::ProbeOutcome::kDetected;
+              outcome = fault::Outcome::kDetected;
             } else if (!run.ok()) {
-              outcome = fault::ProbeOutcome::kCrashed;
+              outcome = fault::Outcome::kCrash;
             } else if (run.output == golden.output) {
-              outcome = fault::ProbeOutcome::kBenign;
+              outcome = fault::Outcome::kBenign;
             } else {
-              outcome = fault::ProbeOutcome::kSdc;
+              outcome = fault::Outcome::kSdc;
             }
             bad[i] = outcome == pruned.prune
                                     .pilots[static_cast<std::size_t>(

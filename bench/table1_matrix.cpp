@@ -16,8 +16,8 @@
 //               construction in the VM, hence covered everywhere)
 #include <chrono>
 #include <cstdio>
+#include <exception>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -25,12 +25,10 @@
 #include "bench_util.h"
 #include "telemetry/json.h"
 #include "fault/campaign.h"
-#include "fault/step_budget.h"
+#include "fault/trial_executor.h"
 #include "masm/masm.h"
 #include "pipeline/pipeline.h"
-#include "support/parallel.h"
 #include "support/rng.h"
-#include "vm/engine.h"
 #include "vm/vm.h"
 #include "workloads/workloads.h"
 
@@ -73,7 +71,6 @@ int main() {
   std::printf("Table I — measured protection capability per fault class\n");
   std::printf("(extended fault model incl. store-data; %d samples per "
               "benchmark per technique, %d worker(s))\n\n", trials, jobs);
-  ThreadPool pool(jobs);
 
   const Technique techniques[] = {Technique::kIrEddi, Technique::kHybrid,
                                   Technique::kFerrum};
@@ -93,26 +90,19 @@ int main() {
       // HYBRID reflects its paper configuration (AS_1 without load-back).
       vm::VmOptions vm_options;
       vm_options.fault_store_data = true;
-      // Decode once, checkpoint the golden run, and fast-forward every
-      // trial — the same engine discipline as fault::run_campaign.
-      const vm::PredecodedProgram decoded(build.program);
-      vm::CheckpointSet ckpts;
-      vm::Engine golden_engine(decoded, vm_options);
-      const vm::VmResult golden =
-          ckpt_stride > 0
-              ? golden_engine.run_capturing(
-                    vm_options, static_cast<std::uint64_t>(ckpt_stride),
-                    ckpts)
-              : golden_engine.run(vm_options, nullptr, 0);
-      if (!golden.ok()) {
+      // The golden state and trial loop of fault::run_campaign, over this
+      // table's own fault draw.
+      std::optional<fault::PreparedCampaign> prepared;
+      try {
+        prepared.emplace(build.program, vm_options, ckpt_stride);
+      } catch (const std::exception&) {
         std::printf("golden run failed for %s\n", w.name.c_str());
         return 1;
       }
-      vm::VmOptions faulty = vm_options;
-      faulty.max_steps = fault::faulty_step_budget(golden.steps);
-      // Same discipline as fault::run_campaign: pre-draw the fault set
-      // serially, fan the runs out, reduce the slots in trial order, so
-      // the table is identical for every FERRUM_JOBS value.
+      const vm::VmResult& golden = prepared->golden;
+      // Pre-draw the fault set serially, fan the runs out, reduce the
+      // slots in trial order, so the table is identical for every
+      // FERRUM_JOBS value.
       Rng rng(0x7ab1e1 + t);
       std::vector<vm::FaultSpec> specs(static_cast<std::size_t>(trials));
       for (vm::FaultSpec& fault : specs) {
@@ -124,23 +114,14 @@ int main() {
         bool sdc = false;
       };
       std::vector<TrialSlot> slots(specs.size());
-      std::vector<std::unique_ptr<vm::Engine>> engines(
-          static_cast<std::size_t>(pool.workers()));
-      pool.parallel_for_indexed(specs.size(), [&](int worker,
-                                                  std::size_t begin,
-                                                  std::size_t end) {
-        auto& engine = engines[static_cast<std::size_t>(worker)];
-        if (engine == nullptr) {
-          engine = std::make_unique<vm::Engine>(decoded, faulty);
-        }
-        for (std::size_t i = begin; i < end; ++i) {
-          const vm::VmResult run =
-              ckpt_stride > 0 ? engine->run_from(ckpts, faulty, &specs[i], 1)
-                              : engine->run(faulty, &specs[i], 1);
-          slots[i].landing = run.fault_landing;
-          slots[i].sdc = run.ok() && run.output != golden.output;
-        }
-      });
+      fault::TrialExecutor executor(specs, 1, *prepared,
+                                    prepared->faulty(vm_options), jobs);
+      executor.run(0, specs.size(),
+                   [&](std::size_t i, const vm::VmResult& run) {
+                     slots[i].landing = run.fault_landing;
+                     slots[i].sdc = fault::classify(run, golden.output) ==
+                                    fault::Outcome::kSdc;
+                   });
       for (const TrialSlot& slot : slots) {
         if (!slot.landing.has_value()) continue;
         ClassStats& stats = buckets[classify(*slot.landing)];

@@ -3,16 +3,16 @@
 #include <chrono>
 #include <map>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <tuple>
-#include <unordered_map>
 
 // Types and inline lookups only — the prune analysis itself runs in
 // ferrum_check and reaches this layer as a const pointer, so ferrum_fault
 // takes no link dependency on it (telemetry links fault back into check).
 #include "check/prune.h"
+#include "fault/campaign.h"
 #include "fault/prune_map.h"
-#include "fault/step_budget.h"
 #include "fault/trial_executor.h"
 #include "vm/engine.h"
 
@@ -24,15 +24,15 @@ namespace {
 /// static coordinates -> per-outcome probe counts.
 class SiteOutcomeTally {
  public:
-  void add(const std::string& function, int block, int inst,
-           vm::FaultKind kind, ProbeOutcome outcome) {
-    SiteOutcome& entry = map_[std::make_tuple(function, block, inst,
-                                              static_cast<int>(kind))];
+  void add(const vm::FaultLanding& where, Outcome outcome) {
+    SiteOutcome& entry = map_[std::make_tuple(where.function, where.block,
+                                              where.inst,
+                                              static_cast<int>(where.kind))];
     if (entry.function.empty()) {
-      entry.function = function;
-      entry.block = block;
-      entry.inst = inst;
-      entry.kind = kind;
+      entry.function = where.function;
+      entry.block = where.block;
+      entry.inst = where.inst;
+      entry.kind = where.kind;
     }
     ++entry.count[static_cast<std::size_t>(outcome)];
   }
@@ -49,29 +49,29 @@ class SiteOutcomeTally {
   std::map<std::tuple<std::string, int, int, int>, SiteOutcome> map_;
 };
 
-/// Per-probe results of an audit sweep. The executor calls record() once
-/// per probe on the worker that ran it, and each call writes only that
-/// probe's entries; the reductions read them in probe order.
-struct ProbeResults {
-  std::vector<ProbeOutcome> outcome;
-  /// Landing coordinates where a reduction reads them: for SDC probes
-  /// (the escape list) and, when `keep_all_landings`, for every probe
-  /// (the site_outcomes tally). Null otherwise, or when the fault never
+/// Per-run results of an audit sweep. The executor calls record() once
+/// per run on the worker that ran it, and each call writes only that
+/// run's entries; the reduction reads them in probe order.
+struct RunResults {
+  std::vector<Outcome> outcome;
+  /// Landing coordinates where the reduction reads them: for SDC runs
+  /// (the escape list) and, when `keep_all_landings`, for every run (the
+  /// site_outcomes tally). Null otherwise, or when the fault never
   /// landed — an audit can hold millions of probes.
   std::vector<std::unique_ptr<vm::FaultLanding>> landing;
   bool keep_all_landings;
 
-  ProbeResults(std::size_t probes, bool keep_all_landings)
-      : outcome(probes, ProbeOutcome::kBenign),
-        landing(probes),
+  RunResults(std::size_t runs, bool keep_all_landings)
+      : outcome(runs, Outcome::kBenign),
+        landing(runs),
         keep_all_landings(keep_all_landings) {}
 
-  void record(std::size_t p, const vm::VmResult& run,
+  void record(std::size_t r, const vm::VmResult& run,
               const std::vector<std::uint64_t>& golden_output) {
-    outcome[p] = probe_outcome(run, golden_output);
+    outcome[r] = classify(run, golden_output);
     if (run.fault_landing.has_value() &&
-        (keep_all_landings || outcome[p] == ProbeOutcome::kSdc)) {
-      landing[p] = std::make_unique<vm::FaultLanding>(*run.fault_landing);
+        (keep_all_landings || outcome[r] == Outcome::kSdc)) {
+      landing[r] = std::make_unique<vm::FaultLanding>(*run.fault_landing);
     }
   }
 };
@@ -86,233 +86,35 @@ void set_escape_landing(AuditEscape& escape, const vm::FaultLanding& landing) {
   escape.inst = landing.inst;
 }
 
-/// Class-extrapolated audit: one pilot injection per (class, effective
-/// bit, stratum); every other live probe inherits its pilot's outcome,
-/// dead probes are benign by the liveness proof. The report keeps the
-/// exhaustive frame (injections/detected/... count every probe) so it is
-/// directly comparable with audit_program without prune.
-AuditReport audit_pruned(const masm::AsmProgram& program,
-                         const AuditOptions& options) {
-  const check::prune::PruneReport& prune = *options.prune;
-  if (prune.store_data_sites != options.vm.fault_store_data) {
-    throw std::invalid_argument(
-        "prune report store_data_sites must match vm.fault_store_data");
-  }
-  if (options.site_stride > 1) {
-    throw std::invalid_argument(
-        "site_stride is a subsampling knob for exhaustive sweeps; the "
-        "pruned audit extrapolates from pilots and cannot stride");
-  }
-  const vm::PredecodedProgram decoded(program);
-  const bool fast_forward = options.ckpt_stride > 0 && !options.vm.timing &&
-                            !options.vm.profile &&
-                            options.vm.trace_limit == 0;
-  vm::CheckpointSet ckpts;
-  vm::Engine golden_engine(decoded, options.vm);
-  std::vector<std::int32_t> site_pcs;
-  golden_engine.set_site_pc_sink(&site_pcs);
-  const vm::VmResult golden =
-      fast_forward
-          ? golden_engine.run_capturing(
-                options.vm,
-                static_cast<std::uint64_t>(options.ckpt_stride), ckpts)
-          : golden_engine.run(options.vm, nullptr, 0);
-  golden_engine.set_site_pc_sink(nullptr);
-  if (!golden.ok()) {
-    throw std::runtime_error(std::string("audit golden run failed: ") +
-                             vm::exit_status_name(golden.status));
-  }
-
-  AuditReport report;
-  report.sites = golden.fi_sites;
-  report.prune.enabled = true;
-  report.prune.static_sites = prune.sites.size();
-  report.prune.classes = prune.classes.size();
-  report.prune.dead_fraction_static = prune.dead_fraction();
-
-  // Dynamic site -> (static record, temporal stratum). The golden site
-  // map makes this exact: site_pcs[id] is the pc that registered dynamic
-  // site id.
-  const std::size_t nsites = static_cast<std::size_t>(golden.fi_sites);
-  const std::size_t nbits = options.probe_bits.size();
-  const detail::DynSiteMap dyn =
-      detail::map_dynamic_sites(decoded, site_pcs, prune, golden.fi_sites);
-  const std::vector<std::int32_t>& dyn_static = dyn.static_site;
-  const std::vector<std::uint32_t>& dyn_stratum = dyn.stratum;
-
-  // Serial pilot plan: walk probes in (site, probe-bit) order; the first
-  // probe of each pilot key becomes the pilot. Deterministic and
-  // jobs-invariant by construction.
-  std::vector<vm::FaultSpec> pilots;
-  std::unordered_map<std::uint64_t, std::uint32_t> pilot_by_key;
-  std::vector<std::int32_t> probe_pilot(nsites * nbits, -1);
-  for (std::size_t id = 0; id < nsites; ++id) {
-    const std::int32_t s = dyn_static[id];
-    for (std::size_t k = 0; k < nbits; ++k) {
-      const int bit = options.probe_bits[k];
-      const std::size_t probe = id * nbits + k;
-      if (s < 0) {
-        // No static record: sound fallback, inject this probe itself.
-        probe_pilot[probe] = static_cast<std::int32_t>(pilots.size());
-        pilots.push_back({id, bit});
-        ++report.prune.unmatched_probes;
-        continue;
-      }
-      const check::prune::PruneSite& site =
-          prune.sites[static_cast<std::size_t>(s)];
-      if (site.bit_dead(bit)) continue;  // stays -1: provably benign
-      const std::uint64_t key = detail::pilot_key(
-          site.class_id, bit % site.bit_space, dyn_stratum[id]);
-      auto [it, inserted] = pilot_by_key.emplace(
-          key, static_cast<std::uint32_t>(pilots.size()));
-      if (inserted) pilots.push_back({id, bit});
-      probe_pilot[probe] = static_cast<std::int32_t>(it->second);
-    }
-  }
-
-  // Execute the pilots across the pool; per-pilot slots merge in pilot
-  // order, so the report is identical for every jobs value.
-  vm::VmOptions faulty = options.vm;
-  faulty.max_steps = faulty_step_budget(golden.steps);
-  ProbeResults results(pilots.size(), options.site_outcomes);
-  TrialExecutor executor(pilots, 1, decoded, fast_forward ? &ckpts : nullptr,
-                         faulty, options.jobs);
-  const auto wall_start = std::chrono::steady_clock::now();
-  executor.run(0, pilots.size(), [&](std::size_t p, const vm::VmResult& run) {
-    results.record(p, run, golden.output);
-  });
-  report.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
-  report.sites_per_worker = executor.trials_per_worker();
-  report.ckpt = executor.telemetry();
-  const std::vector<ProbeOutcome>& outcomes = results.outcome;
-
-  // Extrapolate in probe order. Escape coordinates are exact — each
-  // probe's own static record, not the pilot's — only the outcome is
-  // inherited from the pilot.
-  SiteOutcomeTally tally;
-  for (std::size_t id = 0; id < nsites; ++id) {
-    const std::int32_t s = dyn_static[id];
-    for (std::size_t k = 0; k < nbits; ++k) {
-      const int bit = options.probe_bits[k];
-      const std::int32_t p = probe_pilot[id * nbits + k];
-      const auto tally_probe = [&](ProbeOutcome outcome) {
-        if (!options.site_outcomes) return;
-        if (s >= 0) {
-          const check::prune::PruneSite& site =
-              prune.sites[static_cast<std::size_t>(s)];
-          tally.add(
-              program.functions[static_cast<std::size_t>(site.function)].name,
-              site.block, site.inst, site.kind, outcome);
-        } else if (p >= 0 &&
-                   results.landing[static_cast<std::size_t>(p)] != nullptr) {
-          const vm::FaultLanding& landing =
-              *results.landing[static_cast<std::size_t>(p)];
-          tally.add(landing.function, landing.block, landing.inst,
-                    landing.kind, outcome);
-        }
-      };
-      ++report.injections;
-      if (p < 0) {
-        ++report.benign;
-        ++report.prune.dead_probes;
-        tally_probe(ProbeOutcome::kBenign);
-        continue;
-      }
-      tally_probe(outcomes[static_cast<std::size_t>(p)]);
-      const bool is_pilot = pilots[static_cast<std::size_t>(p)].site == id &&
-                            pilots[static_cast<std::size_t>(p)].bit == bit;
-      if (!is_pilot) ++report.prune.extrapolated_probes;
-      switch (outcomes[static_cast<std::size_t>(p)]) {
-        case ProbeOutcome::kDetected:
-          ++report.detected;
-          break;
-        case ProbeOutcome::kCrashed:
-          ++report.crashed;
-          break;
-        case ProbeOutcome::kBenign:
-          ++report.benign;
-          break;
-        case ProbeOutcome::kSdc: {
-          AuditEscape escape;
-          escape.site = id;
-          escape.bit = bit;
-          if (s >= 0) {
-            const check::prune::PruneSite& site =
-                prune.sites[static_cast<std::size_t>(s)];
-            const auto& fn =
-                program.functions[static_cast<std::size_t>(site.function)];
-            const masm::AsmInst& inst =
-                fn.blocks[static_cast<std::size_t>(site.block)]
-                    .insts[static_cast<std::size_t>(site.inst)];
-            escape.kind = site.kind;
-            escape.origin = inst.origin;
-            escape.op = inst.op;
-            escape.function = fn.name;
-            escape.block = site.block;
-            escape.inst = site.inst;
-          } else if (const vm::FaultLanding* landing =
-                         results.landing[static_cast<std::size_t>(p)].get()) {
-            set_escape_landing(escape, *landing);
-          }
-          report.escapes.push_back(std::move(escape));
-          break;
-        }
-      }
-    }
-  }
-  report.prune.pilot_keys = pilots.size();
-  report.prune.pilot_injections = pilots.size();
-  report.prune.reduction =
-      pilots.empty() ? 1.0
-                     : static_cast<double>(report.injections) /
-                           static_cast<double>(pilots.size());
-  report.prune.pilots.reserve(pilots.size());
-  for (std::size_t p = 0; p < pilots.size(); ++p) {
-    report.prune.pilots.push_back({pilots[p].site, pilots[p].bit, outcomes[p]});
-  }
-  if (options.site_outcomes) report.site_outcomes = tally.take();
-  return report;
-}
-
 }  // namespace
-
-ProbeOutcome probe_outcome(const vm::VmResult& run,
-                           const std::vector<std::uint64_t>& golden_output) {
-  if (run.status == vm::ExitStatus::kDetected) return ProbeOutcome::kDetected;
-  if (!run.ok()) return ProbeOutcome::kCrashed;
-  return run.output == golden_output ? ProbeOutcome::kBenign
-                                     : ProbeOutcome::kSdc;
-}
 
 AuditReport audit_program(const masm::AsmProgram& program,
                           const AuditOptions& options) {
-  if (options.prune != nullptr) return audit_pruned(program, options);
-  const vm::PredecodedProgram decoded(program);
-
-  const bool fast_forward = options.ckpt_stride > 0 && !options.vm.timing &&
-                            !options.vm.profile &&
-                            options.vm.trace_limit == 0;
-  vm::CheckpointSet ckpts;
-
-  vm::Engine golden_engine(decoded, options.vm);
-  const vm::VmResult golden =
-      fast_forward
-          ? golden_engine.run_capturing(
-                options.vm,
-                static_cast<std::uint64_t>(options.ckpt_stride), ckpts)
-          : golden_engine.run(options.vm, nullptr, 0);
-  if (!golden.ok()) {
-    throw std::runtime_error(std::string("audit golden run failed: ") +
-                             vm::exit_status_name(golden.status));
+  // Prune mode: one pilot injection per (class, effective bit, stratum);
+  // every other live probe inherits its pilot's outcome, dead probes are
+  // benign by the liveness proof. The report keeps the exhaustive frame
+  // (injections/detected/... count every probe) so it is directly
+  // comparable with the exhaustive audit.
+  const check::prune::PruneReport* prune = options.prune;
+  if (prune != nullptr) {
+    if (prune->store_data_sites != options.vm.fault_store_data) {
+      throw std::invalid_argument(
+          "prune report store_data_sites must match vm.fault_store_data");
+    }
+    if (options.site_stride > 1) {
+      throw std::invalid_argument(
+          "site_stride is a subsampling knob for exhaustive sweeps; the "
+          "pruned audit extrapolates from pilots and cannot stride");
+    }
   }
+  const PreparedCampaign prep(program, options.vm, options.ckpt_stride,
+                              PreparedCampaign::Mode::kAudit,
+                              prune != nullptr
+                                  ? PreparedCampaign::kRecordSitePcs
+                                  : PreparedCampaign::kRecordNothing);
+  const vm::VmResult& golden = prep.golden;
   AuditReport report;
   report.sites = golden.fi_sites;
-
-  vm::VmOptions faulty = options.vm;
-  faulty.max_steps = faulty_step_budget(golden.steps);
 
   // Strided site selection: slot i probes site i * stride. Stride 1 is
   // the exhaustive audit; larger strides keep the same per-probe
@@ -324,9 +126,9 @@ AuditReport audit_program(const masm::AsmProgram& program,
       golden.fi_sites == 0 ? 0 : (golden.fi_sites + stride - 1) / stride);
 
   // Every (site, bit) probe is independent: materialise them in (site,
-  // probe-bit) order, run them across the pool into per-probe slots, then
-  // reduce in probe order so the escape list comes out exactly as a
-  // serial sweep would produce it.
+  // probe-bit) order, run them (or their pilots) across the pool into
+  // per-run slots, then reduce in probe order so the escape list comes
+  // out exactly as a serial sweep would produce it.
   const std::size_t nbits = options.probe_bits.size();
   std::vector<vm::FaultSpec> probes;
   probes.reserve(slots * nbits);
@@ -335,12 +137,25 @@ AuditReport audit_program(const masm::AsmProgram& program,
       probes.push_back({slot * stride, bit});
     }
   }
-  ProbeResults results(probes.size(), options.site_outcomes);
-  TrialExecutor executor(probes, 1, decoded, fast_forward ? &ckpts : nullptr,
-                         faulty, options.jobs);
+  detail::DynSiteMap dyn;
+  detail::PilotPlan plan;
+  if (prune != nullptr) {
+    report.prune.enabled = true;
+    report.prune.static_sites = prune->sites.size();
+    report.prune.classes = prune->classes.size();
+    report.prune.dead_fraction_static = prune->dead_fraction();
+    dyn = detail::map_dynamic_sites(prep.decoded, prep.site_pcs, *prune,
+                                    golden.fi_sites);
+    plan = detail::plan_pilots(probes, dyn, *prune);
+    report.prune.unmatched_probes = plan.unmatched;
+  }
+  const std::vector<vm::FaultSpec>& runs =
+      prune != nullptr ? plan.pilot_specs : probes;
+  RunResults results(runs.size(), options.site_outcomes);
+  TrialExecutor executor(runs, 1, prep, prep.faulty(options.vm), options.jobs);
   const auto wall_start = std::chrono::steady_clock::now();
-  executor.run(0, probes.size(), [&](std::size_t p, const vm::VmResult& run) {
-    results.record(p, run, golden.output);
+  executor.run(0, runs.size(), [&](std::size_t r, const vm::VmResult& run) {
+    results.record(r, run, golden.output);
   });
   report.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -349,39 +164,78 @@ AuditReport audit_program(const masm::AsmProgram& program,
   report.sites_per_worker = executor.trials_per_worker();
   report.ckpt = executor.telemetry();
 
+  // Reduce in probe order. A pruned probe inherits only its pilot's
+  // outcome; its escape and tally coordinates are its OWN static record.
   SiteOutcomeTally tally;
   for (std::size_t slot = 0; slot < slots; ++slot) {
-    // Every probe of a slot lands on the same static instruction (one
-    // dynamic site, one landing pc); the slot's first landing keys its
-    // site_outcomes tally.
-    const vm::FaultLanding* site_landing = nullptr;
+    // Pruned audits never stride, so the slot is the dynamic site id. Its
+    // static record is rendered on first use.
+    const std::int32_t s = prune != nullptr ? dyn.static_site[slot] : -1;
+    std::optional<vm::FaultLanding> own;
+    const auto own_landing = [&]() -> const vm::FaultLanding* {
+      if (!own.has_value()) own = detail::static_landing(program, *prune, s);
+      return &*own;
+    };
     for (std::size_t p = slot * nbits; p < (slot + 1) * nbits; ++p) {
-      const vm::FaultLanding* landing = results.landing[p].get();
       ++report.injections;
-      switch (results.outcome[p]) {
-        case ProbeOutcome::kDetected:
+      std::size_t r = p;  // the run answering this probe
+      if (prune != nullptr) {
+        const std::int32_t pilot = plan.spec_pilot[p];
+        if (pilot < 0) {  // only a probe with a static record is dead
+          ++report.benign;
+          ++report.prune.dead_probes;
+          if (options.site_outcomes) {
+            tally.add(*own_landing(), Outcome::kBenign);
+          }
+          continue;
+        }
+        r = static_cast<std::size_t>(pilot);
+        if (plan.pilots[r] != p) ++report.prune.extrapolated_probes;
+      }
+      const Outcome outcome = results.outcome[r];
+      const auto where = [&]() -> const vm::FaultLanding* {
+        return s >= 0 ? own_landing() : results.landing[r].get();
+      };
+      switch (outcome) {
+        case Outcome::kDetected:
           ++report.detected;
           break;
-        case ProbeOutcome::kCrashed:
+        case Outcome::kCrash:
           ++report.crashed;
           break;
-        case ProbeOutcome::kBenign:
+        case Outcome::kBenign:
           ++report.benign;
           break;
-        case ProbeOutcome::kSdc: {
+        case Outcome::kSdc: {
           AuditEscape escape;
           escape.site = probes[p].site;
           escape.bit = probes[p].bit;
-          if (landing != nullptr) set_escape_landing(escape, *landing);
+          if (const vm::FaultLanding* landing = where()) {
+            set_escape_landing(escape, *landing);
+          }
           report.escapes.push_back(std::move(escape));
           break;
         }
       }
-      if (options.site_outcomes && landing != nullptr) {
-        if (site_landing == nullptr) site_landing = landing;
-        tally.add(site_landing->function, site_landing->block,
-                  site_landing->inst, site_landing->kind, results.outcome[p]);
+      if (options.site_outcomes) {
+        if (const vm::FaultLanding* landing = where()) {
+          tally.add(*landing, outcome);
+        }
       }
+    }
+  }
+  if (prune != nullptr) {
+    report.prune.pilot_keys = plan.pilots.size();
+    report.prune.pilot_injections = plan.pilots.size();
+    report.prune.reduction =
+        plan.pilots.empty() ? 1.0
+                            : static_cast<double>(report.injections) /
+                                  static_cast<double>(plan.pilots.size());
+    report.prune.pilots.reserve(plan.pilots.size());
+    for (std::size_t r = 0; r < plan.pilots.size(); ++r) {
+      report.prune.pilots.push_back(
+          {plan.pilot_specs[r].site, plan.pilot_specs[r].bit,
+           results.outcome[r]});
     }
   }
   if (options.site_outcomes) report.site_outcomes = tally.take();

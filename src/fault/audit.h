@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "fault/campaign.h"
 #include "masm/masm.h"
 #include "vm/engine.h"
 #include "vm/vm.h"
@@ -74,16 +75,6 @@ struct AuditEscape {
   int inst = 0;
 };
 
-/// Outcome category of one audit probe (the audit's four-way
-/// classification: detector fired / abnormal exit / output matches golden
-/// / silent data corruption).
-enum class ProbeOutcome : std::uint8_t { kDetected, kCrashed, kBenign, kSdc };
-constexpr int kProbeOutcomeCount = 4;
-
-/// Classifies one probe run against the golden output.
-ProbeOutcome probe_outcome(const vm::VmResult& run,
-                           const std::vector<std::uint64_t>& golden_output);
-
 /// Probe-outcome tally of one *static* fault site across every dynamic
 /// occurrence and probe bit the audit exercised. The coordinates match
 /// AuditEscape (and check/prune/flow site records), so static analyses
@@ -93,15 +84,15 @@ struct SiteOutcome {
   int block = 0;
   int inst = 0;
   vm::FaultKind kind = vm::FaultKind::kGprWrite;
-  /// Probe counts indexed by ProbeOutcome. In prune mode these are the
+  /// Probe counts indexed by Outcome. In prune mode these are the
   /// class-extrapolated counts (the exhaustive-frame estimate), matching
   /// the report's top-level counters.
-  std::array<std::uint64_t, kProbeOutcomeCount> count{};
+  std::array<std::uint64_t, 4> count{};
 
   std::uint64_t total() const {
     return count[0] + count[1] + count[2] + count[3];
   }
-  std::uint64_t of(ProbeOutcome outcome) const {
+  std::uint64_t of(Outcome outcome) const {
     return count[static_cast<std::size_t>(outcome)];
   }
 };
@@ -114,7 +105,7 @@ struct SiteOutcome {
 struct AuditPilot {
   std::uint64_t site = 0;
   int bit = 0;
-  ProbeOutcome outcome = ProbeOutcome::kBenign;
+  Outcome outcome = Outcome::kBenign;
 };
 
 /// What the prune mode actually executed vs. accounted. The temporal

@@ -3,8 +3,8 @@
 #include <bit>
 #include <chrono>
 #include <optional>
+#include <span>
 #include <stdexcept>
-#include <unordered_map>
 
 // Types and inline lookups only — see fault/prune_map.h for why this adds
 // no link dependency on ferrum_check.
@@ -12,6 +12,7 @@
 #include "fault/prune_map.h"
 #include "fault/step_budget.h"
 #include "fault/trial_executor.h"
+#include "masm/cfg.h"
 #include "support/rng.h"
 #include "vm/engine.h"
 
@@ -37,41 +38,92 @@ std::pair<double, double> CampaignResult::sdc_rate_ci() const {
   return wilson_interval(count(Outcome::kSdc), trials());
 }
 
-PreparedCampaign::PreparedCampaign(const masm::AsmProgram& program,
-                                   const vm::VmOptions& vm, int ckpt_stride)
-    : decoded(program), store_data(vm.fault_store_data) {
-  // Checkpoints need the full prefix to be re-creatable from a snapshot;
-  // timing/profile/trace state is not checkpointed, so those runs stay
-  // cold (the same gate run_campaign always applied).
-  fast_forward =
-      ckpt_stride > 0 && !vm.timing && !vm.profile && vm.trace_limit == 0;
-  vm::Engine golden_engine(decoded, vm);
-  golden = fast_forward
-               ? golden_engine.run_capturing(
-                     vm, static_cast<std::uint64_t>(ckpt_stride), ckpts)
-               : golden_engine.run(vm, nullptr, 0);
-  if (!golden.ok()) {
-    throw std::runtime_error(std::string("golden run failed: ") +
-                             vm::exit_status_name(golden.status));
-  }
-  if (golden.fi_sites == 0) {
-    throw std::runtime_error("program has no fault-injection sites");
-  }
-}
-
-namespace {
-
-Outcome classify(const vm::VmResult& result,
-                 const std::vector<std::uint64_t>& golden) {
-  switch (result.status) {
+Outcome classify(const vm::VmResult& run,
+                 const std::vector<std::uint64_t>& golden_output) {
+  switch (run.status) {
     case vm::ExitStatus::kOk:
-      return result.output == golden ? Outcome::kBenign : Outcome::kSdc;
+      return run.output == golden_output ? Outcome::kBenign : Outcome::kSdc;
     case vm::ExitStatus::kDetected:
       return Outcome::kDetected;
     default:
       return Outcome::kCrash;
   }
 }
+
+namespace {
+
+/// Liveness masks per flat pc (masm::LiveSet: what is live *before* the
+/// instruction) — the projection that keeps state digests blind to dead
+/// register/stack noise.
+std::vector<std::uint64_t> live_masks(const masm::AsmProgram& program,
+                                      const vm::PredecodedProgram& decoded) {
+  std::vector<std::uint64_t> masks(decoded.code().size(), ~std::uint64_t{0});
+  for (std::size_t f = 0; f < program.functions.size(); ++f) {
+    const masm::AsmFunction& fn = program.functions[f];
+    const masm::Liveness liveness(fn);
+    for (std::size_t b = 0; b < fn.blocks.size(); ++b) {
+      const std::int32_t base =
+          decoded.block_pc(static_cast<int>(f), static_cast<int>(b));
+      for (std::size_t i = 0; i < fn.blocks[b].insts.size(); ++i) {
+        masks[static_cast<std::size_t>(base) + i] = liveness.live_after(
+            static_cast<int>(b), static_cast<int>(i) - 1);
+      }
+    }
+  }
+  return masks;
+}
+
+const char* mode_prefix(PreparedCampaign::Mode mode) {
+  switch (mode) {
+    case PreparedCampaign::Mode::kCampaign: return "";
+    case PreparedCampaign::Mode::kAudit: return "audit ";
+    case PreparedCampaign::Mode::kCompose: return "compose ";
+  }
+  return "";
+}
+
+}  // namespace
+
+PreparedCampaign::PreparedCampaign(const masm::AsmProgram& program,
+                                   const vm::VmOptions& vm, int ckpt_stride)
+    : PreparedCampaign(program, vm, ckpt_stride, Mode::kCampaign,
+                       kRecordNothing) {}
+
+PreparedCampaign::PreparedCampaign(const masm::AsmProgram& program,
+                                   const vm::VmOptions& vm, int ckpt_stride,
+                                   Mode mode, unsigned record)
+    : decoded(program), store_data(vm.fault_store_data) {
+  fast_forward = ckpt_stride > 0 && restorable(vm);
+  vm::Engine golden_engine(decoded, vm);
+  if ((record & kRecordSitePcs) != 0) {
+    golden_engine.set_site_pc_sink(&site_pcs);
+  }
+  std::vector<std::uint64_t> masks;
+  if ((record & kRecordStateDigests) != 0) {
+    masks = live_masks(program, decoded);
+    golden_engine.set_state_digest_sink(&site_digests, &masks);
+  }
+  golden = fast_forward
+               ? golden_engine.run_capturing(
+                     vm, static_cast<std::uint64_t>(ckpt_stride), ckpts)
+               : golden_engine.run(vm, nullptr, 0);
+  if (!golden.ok()) {
+    throw std::runtime_error(std::string(mode_prefix(mode)) +
+                             "golden run failed: " +
+                             vm::exit_status_name(golden.status));
+  }
+  if (mode == Mode::kCampaign && golden.fi_sites == 0) {
+    throw std::runtime_error("program has no fault-injection sites");
+  }
+}
+
+vm::VmOptions PreparedCampaign::faulty(const vm::VmOptions& vm) const {
+  vm::VmOptions options = vm;
+  options.max_steps = faulty_step_budget(golden.steps);
+  return options;
+}
+
+namespace {
 
 struct TrialSlot {
   Outcome outcome = Outcome::kBenign;
@@ -96,244 +148,127 @@ void record_trial(TrialSlot& slot, const vm::VmResult& run,
   }
 }
 
-/// Class-extrapolated campaign: the fault set is drawn exactly like the
-/// unpruned campaign; statically-dead flips are benign without running,
-/// every other trial is answered by one pilot run per (class, effective
-/// bit, stratum). The result keeps the unpruned frame — counts sum to
-/// options.trials — so sdc_rate() estimates the unpruned campaign.
-CampaignResult run_campaign_pruned(const masm::AsmProgram& program,
-                                   const CampaignOptions& options) {
-  const check::prune::PruneReport& prune = *options.prune;
-  if (options.faults_per_run > 1) {
-    throw std::invalid_argument(
-        "campaign prune mode requires faults_per_run == 1");
+/// Folds one answered trial into the result; `sdc_landing` keys the SDC
+/// breakdown of an SDC trial.
+void count_trial(CampaignResult& result, const TrialSlot& slot,
+                 const std::optional<vm::FaultLanding>& sdc_landing) {
+  ++result.counts[static_cast<int>(slot.outcome)];
+  if (slot.latency.has_value()) {
+    result.latency_sum += *slot.latency;
+    if (*slot.latency > result.latency_max) result.latency_max = *slot.latency;
+    ++result.latency_samples;
+    ++result.latency_histogram[std::bit_width(*slot.latency)];
   }
-  if (prune.store_data_sites != options.vm.fault_store_data) {
-    throw std::invalid_argument(
-        "prune report store_data_sites must match vm.fault_store_data");
+  if (slot.outcome == Outcome::kSdc && sdc_landing.has_value()) {
+    const std::string key =
+        std::string(vm::fault_kind_name(sdc_landing->kind)) + "/" +
+        masm::origin_name(sdc_landing->origin);
+    ++result.sdc_breakdown[key];
   }
+}
 
-  const vm::PredecodedProgram decoded(program);
-  const bool fast_forward = options.ckpt_stride > 0 && !options.vm.timing &&
-                            !options.vm.profile &&
-                            options.vm.trace_limit == 0;
-  vm::CheckpointSet ckpts;
-  vm::Engine golden_engine(decoded, options.vm);
-  std::vector<std::int32_t> site_pcs;
-  golden_engine.set_site_pc_sink(&site_pcs);
-  const vm::VmResult golden =
-      fast_forward
-          ? golden_engine.run_capturing(
-                options.vm,
-                static_cast<std::uint64_t>(options.ckpt_stride), ckpts)
-          : golden_engine.run(options.vm, nullptr, 0);
-  golden_engine.set_site_pc_sink(nullptr);
-  if (!golden.ok()) {
-    throw std::runtime_error(std::string("golden run failed: ") +
-                             vm::exit_status_name(golden.status));
-  }
-  if (golden.fi_sites == 0) {
-    throw std::runtime_error("program has no fault-injection sites");
-  }
-
-  CampaignResult result;
-  result.total_sites = golden.fi_sites;
-  result.golden_steps = golden.steps;
-  result.prune.enabled = true;
-  result.prune.dead_fraction_static = prune.dead_fraction();
-
-  vm::VmOptions faulty_vm = options.vm;
-  faulty_vm.max_steps = faulty_step_budget(golden.steps);
-
-  // Identical serial draw to the unpruned campaign (per_run == 1), so a
-  // pruned and an unpruned campaign over the same seed judge the same
-  // sampled fault set.
-  const std::size_t trials =
-      options.trials < 0 ? 0 : static_cast<std::size_t>(options.trials);
-  std::vector<vm::FaultSpec> specs(trials);
+/// The campaign's fault set, drawn serially from the seed before any trial
+/// runs: per trial, per fault, the site and then the bit. The fixed draw
+/// is what keeps a campaign deterministic under parallel execution, and
+/// it makes a pruned and an unpruned campaign over one seed judge the
+/// same sampled set.
+std::vector<vm::FaultSpec> draw_specs(const CampaignOptions& options,
+                                      std::size_t count,
+                                      std::uint64_t fi_sites) {
+  std::vector<vm::FaultSpec> specs(count);
   Rng rng(options.seed);
   for (vm::FaultSpec& fault : specs) {
-    fault.site = rng.next_below(golden.fi_sites);
+    fault.site = rng.next_below(fi_sites);
     fault.bit = static_cast<int>(rng.next_below(64));
     fault.burst = options.burst < 1 ? 1 : options.burst;
   }
-
-  const detail::DynSiteMap dyn =
-      detail::map_dynamic_sites(decoded, site_pcs, prune, golden.fi_sites);
-
-  // Serial pilot plan in trial order: deterministic and jobs-invariant.
-  std::vector<std::size_t> pilots;  // trial index of each pilot run
-  std::unordered_map<std::uint64_t, std::uint32_t> pilot_by_key;
-  std::vector<std::int32_t> trial_pilot(trials, -1);  // -1 = dead flip
-  for (std::size_t trial = 0; trial < trials; ++trial) {
-    const vm::FaultSpec& spec = specs[trial];
-    const std::int32_t s =
-        dyn.static_site[static_cast<std::size_t>(spec.site)];
-    if (s < 0) {
-      // No static record: sound fallback, run this trial directly.
-      trial_pilot[trial] = static_cast<std::int32_t>(pilots.size());
-      pilots.push_back(trial);
-      ++result.prune.unmatched_trials;
-      continue;
-    }
-    const check::prune::PruneSite& site =
-        prune.sites[static_cast<std::size_t>(s)];
-    if (site.flip_dead(spec.bit, spec.burst)) continue;  // provably benign
-    const std::uint64_t key = detail::pilot_key(
-        site.class_id, spec.bit % site.bit_space,
-        dyn.stratum[static_cast<std::size_t>(spec.site)]);
-    auto [it, inserted] =
-        pilot_by_key.emplace(key, static_cast<std::uint32_t>(pilots.size()));
-    if (inserted) pilots.push_back(trial);
-    trial_pilot[trial] = static_cast<std::int32_t>(it->second);
-  }
-
-  // Execute only the pilots across the pool; per-pilot slots merge in
-  // trial order below.
-  std::vector<vm::FaultSpec> pilot_specs;
-  pilot_specs.reserve(pilots.size());
-  for (const std::size_t trial : pilots) pilot_specs.push_back(specs[trial]);
-  std::vector<TrialSlot> slots(pilots.size());
-  TrialExecutor executor(pilot_specs, 1, decoded,
-                         fast_forward ? &ckpts : nullptr, faulty_vm,
-                         options.jobs);
-  const auto wall_start = std::chrono::steady_clock::now();
-  executor.run(0, pilots.size(), [&](std::size_t p, const vm::VmResult& run) {
-    record_trial(slots[p], run, golden.output, options.progress);
-  });
-  result.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
-  result.trials_per_worker = executor.trials_per_worker();
-  result.ckpt = executor.telemetry();
-
-  // Trial-order reduction with extrapolation: every drawn trial is
-  // counted; outcome/latency come from its pilot, SDC-breakdown
-  // coordinates from the trial's OWN static record (only the outcome is
-  // inherited).
-  for (std::size_t trial = 0; trial < trials; ++trial) {
-    const std::int32_t p = trial_pilot[trial];
-    if (p < 0) {
-      ++result.counts[static_cast<int>(Outcome::kBenign)];
-      ++result.prune.dead_trials;
-      continue;
-    }
-    const TrialSlot& slot = slots[static_cast<std::size_t>(p)];
-    if (pilots[static_cast<std::size_t>(p)] != trial) {
-      ++result.prune.replayed_trials;
-    }
-    ++result.counts[static_cast<int>(slot.outcome)];
-    if (slot.latency.has_value()) {
-      result.latency_sum += *slot.latency;
-      if (*slot.latency > result.latency_max) result.latency_max = *slot.latency;
-      ++result.latency_samples;
-      ++result.latency_histogram[std::bit_width(*slot.latency)];
-    }
-    if (slot.outcome == Outcome::kSdc) {
-      const std::int32_t s =
-          dyn.static_site[static_cast<std::size_t>(specs[trial].site)];
-      std::string key;
-      if (s >= 0) {
-        const check::prune::PruneSite& site =
-            prune.sites[static_cast<std::size_t>(s)];
-        const masm::AsmInst& inst =
-            program.functions[static_cast<std::size_t>(site.function)]
-                .blocks[static_cast<std::size_t>(site.block)]
-                .insts[static_cast<std::size_t>(site.inst)];
-        key = std::string(masm::fault_site_kind_name(site.kind)) + "/" +
-              masm::origin_name(inst.origin);
-      } else if (slot.sdc_landing.has_value()) {
-        key = std::string(vm::fault_kind_name(slot.sdc_landing->kind)) + "/" +
-              masm::origin_name(slot.sdc_landing->origin);
-      }
-      if (!key.empty()) ++result.sdc_breakdown[key];
-    }
-  }
-  result.prune.pilot_runs = pilots.size();
-  result.prune.reduction =
-      pilots.empty() ? 0.0
-                     : static_cast<double>(trials) /
-                           static_cast<double>(pilots.size());
-  return result;
+  return specs;
 }
 
 }  // namespace
 
 CampaignResult run_campaign(const masm::AsmProgram& program,
                             const CampaignOptions& options) {
-  if (options.prune != nullptr) {
+  // Prune mode answers the drawn trials with one pilot run per (class,
+  // effective bit, stratum): statically-dead flips are benign without
+  // running, and the result keeps the unpruned frame — counts sum to
+  // options.trials — so sdc_rate() estimates the unpruned campaign.
+  const check::prune::PruneReport* prune = options.prune;
+  if (prune != nullptr) {
     if (options.max_half_width > 0.0) {
       // Pilot extrapolation answers trials out of canonical order, so a
       // canonical-prefix stop rule has no meaning under prune.
       throw std::invalid_argument(
           "adaptive early stopping cannot be combined with prune mode");
     }
-    return run_campaign_pruned(program, options);
+    if (options.faults_per_run > 1) {
+      throw std::invalid_argument(
+          "campaign prune mode requires faults_per_run == 1");
+    }
+    if (prune->store_data_sites != options.vm.fault_store_data) {
+      throw std::invalid_argument(
+          "prune report store_data_sites must match vm.fault_store_data");
+    }
   }
-  // The decoded program / golden run / checkpoints either come prepared
-  // (the service's cross-cell sharing) or are built here; both ways they
-  // are shared read-only by every worker's trial engine, and resolve()-
-  // style hash lookups happen once per campaign instead of once per run.
-  // Declared before the executor so restores never outlive the pages they
-  // point at.
-  const PreparedCampaign* prep = options.prepared;
+  // The golden state either comes prepared (the service's cross-cell
+  // sharing) or is built here; both ways it is shared read-only by every
+  // worker's trial engine. Declared before the executor so restores never
+  // outlive the pages they point at.
+  const PreparedCampaign* prep =
+      prune == nullptr ? options.prepared : nullptr;
   if (prep != nullptr && prep->store_data != options.vm.fault_store_data) {
     throw std::invalid_argument(
         "prepared campaign state disagrees on fault_store_data");
   }
   std::optional<PreparedCampaign> owned;
   if (prep == nullptr) {
-    owned.emplace(program, options.vm, options.ckpt_stride);
+    owned.emplace(program, options.vm, options.ckpt_stride,
+                  PreparedCampaign::Mode::kCampaign,
+                  prune != nullptr ? PreparedCampaign::kRecordSitePcs
+                                   : PreparedCampaign::kRecordNothing);
     prep = &*owned;
   }
-  const vm::PredecodedProgram& decoded = prep->decoded;
-  const vm::CheckpointSet& ckpts = prep->ckpts;
   const vm::VmResult& golden = prep->golden;
-  // A state prepared without checkpoints (stride 0) just runs cold; one
-  // prepared with them can still serve a cold-only campaign request.
-  const bool fast_forward = prep->fast_forward && !options.vm.timing &&
-                            !options.vm.profile &&
-                            options.vm.trace_limit == 0;
 
   CampaignResult result;
   result.total_sites = golden.fi_sites;
   result.golden_steps = golden.steps;
 
-  // Faulty runs can loop; bound them relative to the golden length.
-  vm::VmOptions faulty_vm = options.vm;
-  faulty_vm.max_steps = faulty_step_budget(golden.steps);
-
   const std::size_t trials =
       options.trials < 0 ? 0 : static_cast<std::size_t>(options.trials);
   const std::size_t per_run = static_cast<std::size_t>(
       options.faults_per_run < 1 ? 1 : options.faults_per_run);
+  const std::vector<vm::FaultSpec> specs =
+      draw_specs(options, trials * per_run, golden.fi_sites);
 
-  // Pre-draw every trial's fault set serially from the seed. This is
-  // what makes the campaign deterministic under parallel execution: the
-  // sampled set is fixed before any worker runs, bit-identical to the
-  // historical serial draw order (per trial: site, then bit, per fault).
-  std::vector<vm::FaultSpec> specs(trials * per_run);
-  Rng rng(options.seed);
-  for (vm::FaultSpec& fault : specs) {
-    fault.site = rng.next_below(golden.fi_sites);
-    fault.bit = static_cast<int>(rng.next_below(64));
-    fault.burst = options.burst < 1 ? 1 : options.burst;
+  // Pruned campaigns run only the pilots; the reduction maps every drawn
+  // trial back to the pilot that answers it.
+  detail::DynSiteMap dyn;
+  detail::PilotPlan plan;
+  if (prune != nullptr) {
+    result.prune.enabled = true;
+    result.prune.dead_fraction_static = prune->dead_fraction();
+    dyn = detail::map_dynamic_sites(prep->decoded, prep->site_pcs, *prune,
+                                    golden.fi_sites);
+    plan = detail::plan_pilots(specs, dyn, *prune);
+    result.prune.unmatched_trials = plan.unmatched;
   }
+  const std::span<const vm::FaultSpec> runs =
+      prune != nullptr ? std::span<const vm::FaultSpec>(plan.pilot_specs)
+                       : std::span<const vm::FaultSpec>(specs);
 
-  // Execute the trials across the pool; each trial writes only its own
-  // slot, and the reduction below walks the slots in trial order, so the
-  // result does not depend on scheduling. Adaptive campaigns run one
-  // power-of-two block at a time (a handful of pool joins in total);
-  // full-budget campaigns run the whole range at once — a trial's
-  // execution does not depend on which block ran it.
-  std::vector<TrialSlot> slots(trials);
-  TrialExecutor executor(specs, per_run, decoded,
-                         fast_forward ? &ckpts : nullptr, faulty_vm,
+  // Execute the runs across the pool; each run writes only its own slot,
+  // and the reduction below walks the trials in order, so the result does
+  // not depend on scheduling. Adaptive campaigns run one power-of-two
+  // block at a time (a handful of pool joins in total); full-budget
+  // campaigns run the whole range at once — a trial's execution does not
+  // depend on which block ran it.
+  std::vector<TrialSlot> slots(runs.size() / per_run);
+  TrialExecutor executor(runs, per_run, *prep, prep->faulty(options.vm),
                          options.jobs);
-  const TrialExecutor::OnResult record = [&](std::size_t trial,
+  const TrialExecutor::OnResult record = [&](std::size_t slot,
                                              const vm::VmResult& run) {
-    record_trial(slots[trial], run, golden.output, options.progress);
+    record_trial(slots[slot], run, golden.output, options.progress);
   };
 
   const StopRule rule{options.max_half_width};
@@ -344,7 +279,7 @@ CampaignResult run_campaign(const masm::AsmProgram& program,
   const auto wall_start = std::chrono::steady_clock::now();
   std::size_t executed = trials;
   if (!rule.enabled()) {
-    executor.run(0, trials, record);
+    executor.run(0, slots.size(), record);
   } else {
     // Block-boundary evaluation (fault/adaptive.h): run the canonical
     // order in power-of-two blocks and quit at the first boundary where
@@ -381,22 +316,38 @@ CampaignResult run_campaign(const masm::AsmProgram& program,
   result.ckpt = executor.telemetry();
 
   // Trial-order reduction over the executed canonical prefix (the whole
-  // plan unless the stop rule fired).
+  // plan unless the stop rule fired). A pruned trial inherits only its
+  // pilot's outcome and latency; its SDC-breakdown key comes from its OWN
+  // static record.
   for (std::size_t trial = 0; trial < executed; ++trial) {
-    const TrialSlot& slot = slots[trial];
-    ++result.counts[static_cast<int>(slot.outcome)];
-    if (slot.latency.has_value()) {
-      result.latency_sum += *slot.latency;
-      if (*slot.latency > result.latency_max) result.latency_max = *slot.latency;
-      ++result.latency_samples;
-      ++result.latency_histogram[std::bit_width(*slot.latency)];
+    if (prune == nullptr) {
+      count_trial(result, slots[trial], slots[trial].sdc_landing);
+      continue;
     }
-    if (slot.sdc_landing.has_value()) {
-      const vm::FaultLanding& landing = *slot.sdc_landing;
-      std::string key = std::string(vm::fault_kind_name(landing.kind)) + "/" +
-                        masm::origin_name(landing.origin);
-      ++result.sdc_breakdown[key];
+    const std::int32_t p = plan.spec_pilot[trial];
+    if (p < 0) {
+      ++result.counts[static_cast<int>(Outcome::kBenign)];
+      ++result.prune.dead_trials;
+      continue;
     }
+    if (plan.pilots[static_cast<std::size_t>(p)] != trial) {
+      ++result.prune.replayed_trials;
+    }
+    const TrialSlot& slot = slots[static_cast<std::size_t>(p)];
+    const std::int32_t s =
+        dyn.static_site[static_cast<std::size_t>(specs[trial].site)];
+    if (slot.outcome == Outcome::kSdc && s >= 0) {
+      count_trial(result, slot, detail::static_landing(program, *prune, s));
+    } else {
+      count_trial(result, slot, slot.sdc_landing);
+    }
+  }
+  if (prune != nullptr) {
+    result.prune.pilot_runs = plan.pilots.size();
+    result.prune.reduction =
+        plan.pilots.empty() ? 0.0
+                            : static_cast<double>(trials) /
+                                  static_cast<double>(plan.pilots.size());
   }
   return result;
 }

@@ -45,32 +45,69 @@ struct CampaignProgress {
   }
 };
 
-/// Golden-run state shared across campaigns of one program — the
-/// service's cross-cell reuse. Holds everything run_campaign derives
-/// from the program before any trial runs: the predecode, the golden
-/// result and (when fast-forwarding) the checkpoint set. Immutable after
-/// construction, so one instance may back any number of concurrent
-/// run_campaign calls over different seeds/trials/techniques-of-the-same-
-/// assembly; each campaign still creates its own per-worker Engines.
+/// Classifies one faulty run against the golden output: the four-way
+/// outcome every campaign, audit and compose trial reduces to.
+Outcome classify(const vm::VmResult& run,
+                 const std::vector<std::uint64_t>& golden_output);
+
+/// The golden state every fault-injection mode starts from, and the only
+/// code that builds it: the predecode, the golden result, (when fast-
+/// forwarding) the checkpoint set, and whatever per-site recordings the
+/// mode asked for. Immutable after construction, so one instance may back
+/// any number of concurrent TrialExecutors — the service shares one across
+/// the campaign cells of a program; each executor still creates its own
+/// per-worker Engines.
 ///
 /// The golden run depends on vm.fault_store_data (it changes the dynamic
-/// FI-site numbering), so a prepared state is only valid for campaigns
-/// with the same setting — run_campaign throws std::invalid_argument on
-/// a mismatch. ckpt_stride and dispatch are result-invariant: a campaign
+/// FI-site numbering), so a prepared state is only valid for trials with
+/// the same setting — run_campaign throws std::invalid_argument on a
+/// mismatch. ckpt_stride and dispatch are result-invariant: a campaign
 /// may reuse a state captured under any stride.
 struct PreparedCampaign {
-  /// Runs the golden profiling run (capturing checkpoints every
-  /// `ckpt_stride` FI sites unless the vm options need the full prefix).
-  /// Throws std::runtime_error when the golden run fails or the program
-  /// has no fault-injection sites, exactly like run_campaign.
+  /// The mode preparing the state. It names the golden-failure error, and
+  /// only campaigns reject a program without fault-injection sites (an
+  /// audit or composition of one is an empty report).
+  enum class Mode : std::uint8_t { kCampaign, kAudit, kCompose };
+  /// Per-site recordings of the golden run (bit set). Each slows the
+  /// capturing run — the site-pc map alone by ~8% — so only the modes
+  /// that read them ask.
+  enum Record : unsigned {
+    kRecordNothing = 0,
+    kRecordSitePcs = 1u << 0,       // site_pcs: prune and compose
+    kRecordStateDigests = 1u << 1,  // site_digests: compose's cache keys
+  };
+
+  /// Runs the golden run, capturing checkpoints every `ckpt_stride` FI
+  /// sites unless the vm options need the full prefix. Throws
+  /// std::runtime_error when the golden run fails or (campaigns) the
+  /// program has no fault-injection sites.
   PreparedCampaign(const masm::AsmProgram& program, const vm::VmOptions& vm,
                    int ckpt_stride = 64);
+  PreparedCampaign(const masm::AsmProgram& program, const vm::VmOptions& vm,
+                   int ckpt_stride, Mode mode, unsigned record);
+
+  /// Whether trials under `vm` may restore checkpoints: timing, profile
+  /// and trace state is not checkpointed, so those runs need the prefix.
+  static bool restorable(const vm::VmOptions& vm) {
+    return !vm.timing && !vm.profile && vm.trace_limit == 0;
+  }
+
+  /// `vm` with the faulty-run step budget: a fault can turn a terminating
+  /// program into a livelock, so every trial is bounded relative to the
+  /// golden run's length.
+  vm::VmOptions faulty(const vm::VmOptions& vm) const;
 
   vm::PredecodedProgram decoded;
   vm::CheckpointSet ckpts;
   vm::VmResult golden;
   bool fast_forward = false;  // checkpoints captured, trials may restore
   bool store_data = false;    // vm.fault_store_data the golden ran under
+  /// kRecordSitePcs: site_pcs[id] is the flat pc that registered dynamic
+  /// site id (see vm::Engine::set_site_pc_sink).
+  std::vector<std::int32_t> site_pcs;
+  /// kRecordStateDigests: the liveness-masked golden state digest at each
+  /// dynamic site (see vm::Engine::set_state_digest_sink).
+  std::vector<std::uint64_t> site_digests;
 };
 
 struct CampaignOptions {
@@ -121,8 +158,8 @@ struct CampaignOptions {
   double max_half_width = 0.0;
   /// Optional pre-built golden state shared across campaigns of this
   /// program (see PreparedCampaign). Must outlive the call and match
-  /// vm.fault_store_data; ignored in prune mode, which needs its own
-  /// site-pc-instrumented golden run.
+  /// vm.fault_store_data; ignored in prune mode, which needs a golden run
+  /// that records the site-pc map.
   const PreparedCampaign* prepared = nullptr;
 };
 

@@ -1,6 +1,9 @@
 #include "fault/cell.h"
 
+#include <algorithm>
+
 #include "support/hash.h"
+#include "support/parallel.h"
 #include "support/str.h"
 
 namespace ferrum::fault {
@@ -13,7 +16,11 @@ CampaignOptions to_campaign_options(const CampaignCell& cell) {
   options.burst = cell.burst < 1 ? 1 : cell.burst;
   options.vm.fault_store_data = cell.store_data;
   options.max_half_width = cell.max_half_width;
-  options.jobs = cell.jobs;
+  // A cell may name any jobs value up to INT_MAX, and the campaign turns
+  // it into that many pool threads. jobs is result-invariant and not key
+  // material, so clamping it to the machine's cores changes no answer and
+  // no cache key.
+  options.jobs = std::clamp(cell.jobs, 1, ThreadPool::hardware_workers());
   options.ckpt_stride = cell.ckpt_stride;
   if (cell.dispatch == "switch") {
     options.vm.dispatch = vm::DispatchMode::kSwitch;

@@ -52,7 +52,8 @@ struct CampaignCell {
   /// canonical prefix the result covers. Incompatible with prune.
   double max_half_width = 0.0;
 
-  // Engine knobs — result-invariant, never key material.
+  // Engine knobs — result-invariant, never key material. to_campaign_options
+  // clamps jobs to [1, the machine's cores].
   int jobs = 1;
   int ckpt_stride = 64;
   std::string dispatch = "auto";  // auto | switch | threaded

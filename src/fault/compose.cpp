@@ -14,11 +14,9 @@
 // as a built SectionMap, so ferrum_fault takes no link dependency on it.
 #include "check/sections.h"
 #include "fault/adaptive.h"
-#include "fault/audit.h"
+#include "fault/campaign.h"
 #include "fault/prune_map.h"
-#include "fault/step_budget.h"
 #include "fault/trial_executor.h"
-#include "masm/cfg.h"
 #include "support/hash.h"
 #include "support/rng.h"
 #include "support/str.h"
@@ -257,51 +255,17 @@ ComposeReport compose_impl(const masm::AsmProgram& program,
     throw std::invalid_argument("max_half_width must be in [0, 0.5)");
   }
   const StopRule rule{options.max_half_width};
-  const vm::PredecodedProgram decoded(program);
-  const bool fast_forward = options.ckpt_stride > 0 && !options.vm.timing &&
-                            !options.vm.profile &&
-                            options.vm.trace_limit == 0;
-
-  // Liveness masks per flat pc (masm::LiveSet: what is live *before* the
-  // instruction) — the projection that keeps state digests blind to dead
-  // register/stack noise. Only the caching path pays for them.
-  std::vector<std::uint64_t> live_masks;
-  if (caching) {
-    live_masks.assign(decoded.code().size(), ~std::uint64_t{0});
-    for (std::size_t f = 0; f < program.functions.size(); ++f) {
-      const masm::AsmFunction& fn = program.functions[f];
-      const masm::Liveness liveness(fn);
-      for (std::size_t b = 0; b < fn.blocks.size(); ++b) {
-        const std::int32_t base =
-            decoded.block_pc(static_cast<int>(f), static_cast<int>(b));
-        for (std::size_t i = 0; i < fn.blocks[b].insts.size(); ++i) {
-          live_masks[static_cast<std::size_t>(base) + i] = liveness.live_after(
-              static_cast<int>(b), static_cast<int>(i) - 1);
-        }
-      }
-    }
-  }
-
-  // Golden run: one cold pass that captures checkpoints, the site pc map
-  // and (when caching) the per-site liveness-masked state digests.
-  vm::CheckpointSet ckpts;
-  vm::Engine golden_engine(decoded, options.vm);
-  std::vector<std::int32_t> site_pcs;
-  std::vector<std::uint64_t> site_digests;
-  golden_engine.set_site_pc_sink(&site_pcs);
-  if (caching) golden_engine.set_state_digest_sink(&site_digests, &live_masks);
-  const vm::VmResult golden =
-      fast_forward
-          ? golden_engine.run_capturing(
-                options.vm, static_cast<std::uint64_t>(options.ckpt_stride),
-                ckpts)
-          : golden_engine.run(options.vm, nullptr, 0);
-  golden_engine.set_site_pc_sink(nullptr);
-  golden_engine.set_state_digest_sink(nullptr, nullptr);
-  if (!golden.ok()) {
-    throw std::runtime_error(std::string("compose golden run failed: ") +
-                             vm::exit_status_name(golden.status));
-  }
+  // One golden run records the site pc map and, when caching, the per-
+  // site liveness-masked state digests the section keys fold.
+  const PreparedCampaign prep(
+      program, options.vm, options.ckpt_stride,
+      PreparedCampaign::Mode::kCompose,
+      PreparedCampaign::kRecordSitePcs |
+          (caching ? PreparedCampaign::kRecordStateDigests
+                   : PreparedCampaign::kRecordNothing));
+  const vm::VmResult& golden = prep.golden;
+  const std::vector<std::int32_t>& site_pcs = prep.site_pcs;
+  const std::vector<std::uint64_t>& site_digests = prep.site_digests;
 
   // Dynamic site -> section, via the decoded instruction each site's pc
   // names. Sections are straight-line, so one traversal's sites are
@@ -314,7 +278,8 @@ ComposeReport compose_impl(const masm::AsmProgram& program,
   std::int32_t prev_pc = -1;
   for (std::size_t id = 0; id < nsites; ++id) {
     const std::int32_t pc = site_pcs[id];
-    const vm::DecodedInst& d = decoded.code()[static_cast<std::size_t>(pc)];
+    const vm::DecodedInst& d =
+        prep.decoded.code()[static_cast<std::size_t>(pc)];
     const int section = map.section_of(d.fidx, d.bidx, d.iidx);
     if (section < 0 ||
         static_cast<std::size_t>(section) >= runtime.size()) {
@@ -336,9 +301,12 @@ ComposeReport compose_impl(const masm::AsmProgram& program,
         "compose: sections do not partition the dynamic site stream");
   }
 
-  const std::uint64_t max_steps =
-      audit_mode ? faulty_step_budget(golden.steps)
-                 : quantize_budget(faulty_step_budget(golden.steps));
+  // Faulty trial options. Campaign mode quantizes the step budget (see
+  // quantize_budget); touched-function tracking feeds the cache's reuse
+  // gate.
+  vm::VmOptions faulty = prep.faulty(options.vm);
+  if (!audit_mode) faulty.max_steps = quantize_budget(faulty.max_steps);
+  faulty.track_touched_functions = caching;
 
   ComposeReport report;
   report.sites = golden.fi_sites;
@@ -396,7 +364,7 @@ ComposeReport compose_impl(const masm::AsmProgram& program,
     info.state_digest = hex16(runtime[s].digest_fold);
     info.dynamic_sites = runtime[s].sites.size();
     info.occurrences = runtime[s].occurrences;
-    info.max_steps = max_steps;
+    info.max_steps = faulty.max_steps;
     if (audit_mode) {
       info.probe_bits = options.probe_bits;
     } else {
@@ -486,7 +454,7 @@ ComposeReport compose_impl(const masm::AsmProgram& program,
   struct SectionStop {
     std::vector<std::uint64_t> boundaries;
     std::size_t next = 0;
-    std::array<int, 4> counts{};  // indexed by ProbeOutcome value
+    std::array<int, 4> counts{};  // indexed by Outcome
     std::uint64_t executed = 0;
     bool active = false;
   };
@@ -514,22 +482,18 @@ ComposeReport compose_impl(const masm::AsmProgram& program,
   // at boundaries fixed before anything ran. `specs` is sized for the
   // full plan up front, so the executor's span stays valid while each
   // round fills its own stretch of it.
-  vm::VmOptions faulty = options.vm;
-  faulty.max_steps = max_steps;
-  faulty.track_touched_functions = caching;
   std::size_t planned_items = 0;
   for (const std::vector<WorkItem>& items : plan) planned_items += items.size();
   std::vector<vm::FaultSpec> specs(planned_items);
   std::vector<WorkItem> work;
-  std::vector<std::uint8_t> outcomes;
+  std::vector<Outcome> outcomes;
   std::vector<std::uint64_t> touched;
   std::vector<std::uint64_t> rejoin_sites;
   std::vector<std::uint8_t> rejoined;
-  TrialExecutor executor(specs, 1, decoded, fast_forward ? &ckpts : nullptr,
-                         faulty, options.jobs);
+  TrialExecutor executor(specs, 1, prep, faulty, options.jobs);
   const auto wall_start = std::chrono::steady_clock::now();
   const auto record = [&](std::size_t w, const vm::VmResult& run) {
-    outcomes[w] = static_cast<std::uint8_t>(probe_outcome(run, golden.output));
+    outcomes[w] = classify(run, golden.output);
     if (caching) {
       touched[w] = run.touched_functions;
       rejoined[w] = run.rejoined ? 1 : 0;
@@ -560,7 +524,7 @@ ComposeReport compose_impl(const masm::AsmProgram& program,
       specs[w].bit = work[w].bit;
       specs[w].burst = options.burst;
     }
-    outcomes.resize(work.size(), 0);
+    outcomes.resize(work.size(), Outcome::kBenign);
     if (caching) {
       touched.resize(work.size(), 0);
       rejoin_sites.resize(work.size(), 0);
@@ -571,7 +535,7 @@ ComposeReport compose_impl(const masm::AsmProgram& program,
     // each active section's rule at the boundary it just reached.
     for (std::size_t w = round_begin; w < work.size(); ++w) {
       ++stops[static_cast<std::size_t>(work[w].section)]
-            .counts[outcomes[w]];
+            .counts[static_cast<std::size_t>(outcomes[w])];
     }
     for (std::size_t s = 0; s < map.sections.size(); ++s) {
       SectionStop& st = stops[s];
@@ -601,11 +565,11 @@ ComposeReport compose_impl(const masm::AsmProgram& program,
       caching ? map.sections.size() : 0);
   for (std::size_t w = 0; w < work.size(); ++w) {
     StoredSummary& acc = cold[static_cast<std::size_t>(work[w].section)];
-    switch (static_cast<ProbeOutcome>(outcomes[w])) {
-      case ProbeOutcome::kDetected: ++acc.detected; break;
-      case ProbeOutcome::kCrashed: ++acc.crashed; break;
-      case ProbeOutcome::kBenign: ++acc.benign; break;
-      case ProbeOutcome::kSdc: ++acc.sdc; break;
+    switch (outcomes[w]) {
+      case Outcome::kDetected: ++acc.detected; break;
+      case Outcome::kCrash: ++acc.crashed; break;
+      case Outcome::kBenign: ++acc.benign; break;
+      case Outcome::kSdc: ++acc.sdc; break;
     }
     ++acc.trials;
     if (caching) {

@@ -1,16 +1,20 @@
 // Shared prune-mode plumbing for audit_program and run_campaign: maps the
-// dynamic fault-site ids of a golden run (recorded via
-// vm::Engine::set_site_pc_sink) back to the static records of a
-// check::prune::PruneReport, and assigns each dynamic site its temporal
-// stratum. Header-only and internal to ferrum_fault — it consumes the
-// prune report through its inline lookups only, so no link dependency on
-// ferrum_check is introduced (telemetry links fault back into check).
+// dynamic fault-site ids of a golden run (PreparedCampaign::site_pcs)
+// back to the static records of a check::prune::PruneReport, assigns each
+// dynamic site its temporal stratum, plans the pilot runs and renders a
+// static record's coordinates. Header-only and internal to ferrum_fault —
+// it consumes the prune report through its inline lookups only, so no
+// link dependency on ferrum_check is introduced (telemetry links fault
+// back into check).
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "check/prune.h"
+#include "masm/masm.h"
 #include "vm/engine.h"
 
 namespace ferrum::fault::detail {
@@ -120,6 +124,78 @@ inline DynSiteMap map_dynamic_sites(const vm::PredecodedProgram& decoded,
     }
   }
   return map;
+}
+
+/// The pilot plan of a pruned campaign or audit over its fault specs, in
+/// spec order: the first spec of each (class, effective bit, stratum) key
+/// becomes the key's pilot, and every later spec of the key is answered
+/// by it. Deterministic and jobs-invariant by construction.
+struct PilotPlan {
+  /// Per spec: the index into `pilots` of the run that answers it, or -1
+  /// when the flip is provably dead (benign without running).
+  std::vector<std::int32_t> spec_pilot;
+  /// The spec index of each pilot, and its spec, in plan order.
+  std::vector<std::size_t> pilots;
+  std::vector<vm::FaultSpec> pilot_specs;
+  /// Specs on a dynamic site with no static record: each is its own
+  /// pilot (the sound fallback).
+  std::uint64_t unmatched = 0;
+};
+
+inline PilotPlan plan_pilots(std::span<const vm::FaultSpec> specs,
+                             const DynSiteMap& dyn,
+                             const check::prune::PruneReport& prune) {
+  PilotPlan plan;
+  plan.spec_pilot.assign(specs.size(), -1);
+  std::unordered_map<std::uint64_t, std::uint32_t> pilot_by_key;
+  const auto add_pilot = [&](std::size_t i) {
+    plan.pilots.push_back(i);
+    plan.pilot_specs.push_back(specs[i]);
+  };
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const vm::FaultSpec& spec = specs[i];
+    const std::size_t id = static_cast<std::size_t>(spec.site);
+    const std::int32_t s = dyn.static_site[id];
+    if (s < 0) {
+      plan.spec_pilot[i] = static_cast<std::int32_t>(plan.pilots.size());
+      add_pilot(i);
+      ++plan.unmatched;
+      continue;
+    }
+    const check::prune::PruneSite& site =
+        prune.sites[static_cast<std::size_t>(s)];
+    if (site.flip_dead(spec.bit, spec.burst)) continue;
+    const std::uint64_t key =
+        pilot_key(site.class_id, spec.bit % site.bit_space, dyn.stratum[id]);
+    auto [it, inserted] = pilot_by_key.emplace(
+        key, static_cast<std::uint32_t>(plan.pilots.size()));
+    if (inserted) add_pilot(i);
+    plan.spec_pilot[i] = static_cast<std::int32_t>(it->second);
+  }
+  return plan;
+}
+
+/// The coordinates of static prune record `s`, in the form the engine
+/// records for a fault that lands there. The pruned modes key SDC
+/// breakdowns, escapes and site tallies on a trial's OWN static record,
+/// since only the outcome is inherited from its pilot.
+inline vm::FaultLanding static_landing(const masm::AsmProgram& program,
+                                       const check::prune::PruneReport& prune,
+                                       std::int32_t s) {
+  const check::prune::PruneSite& site =
+      prune.sites[static_cast<std::size_t>(s)];
+  const masm::AsmFunction& fn =
+      program.functions[static_cast<std::size_t>(site.function)];
+  const masm::AsmInst& inst = fn.blocks[static_cast<std::size_t>(site.block)]
+                                  .insts[static_cast<std::size_t>(site.inst)];
+  vm::FaultLanding landing;
+  landing.kind = site.kind;
+  landing.origin = inst.origin;
+  landing.op = inst.op;
+  landing.function = fn.name;
+  landing.block = site.block;
+  landing.inst = site.inst;
+  return landing;
 }
 
 }  // namespace ferrum::fault::detail

@@ -4,13 +4,14 @@ namespace ferrum::fault {
 
 TrialExecutor::TrialExecutor(std::span<const vm::FaultSpec> specs,
                              std::size_t per_run,
-                             const vm::PredecodedProgram& decoded,
-                             const vm::CheckpointSet* ckpts,
+                             const PreparedCampaign& prepared,
                              const vm::VmOptions& faulty, int jobs)
     : specs_(specs),
       per_run_(per_run),
-      decoded_(decoded),
-      ckpts_(ckpts),
+      decoded_(prepared.decoded),
+      ckpts_(prepared.fast_forward && PreparedCampaign::restorable(faulty)
+                 ? &prepared.ckpts
+                 : nullptr),
       faulty_(faulty),
       pool_(jobs),
       engines_(static_cast<std::size_t>(pool_.workers())),

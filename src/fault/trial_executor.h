@@ -1,7 +1,7 @@
 // The one trial loop behind every fault-injection mode: campaigns
 // (full, adaptive and pruned), audits (exhaustive and pruned) and
-// compose all hand it a span of pre-drawn fault specs and receive one
-// VmResult per trial.
+// compose all hand it their PreparedCampaign and a span of pre-drawn
+// fault specs, and receive one VmResult per trial.
 //
 // Determinism: the executor decides only *when* and on *which worker* a
 // trial runs, never what it computes. Each trial index maps to a fixed
@@ -17,6 +17,7 @@
 #include <span>
 #include <vector>
 
+#include "fault/campaign.h"
 #include "support/parallel.h"
 #include "vm/engine.h"
 #include "vm/vm.h"
@@ -28,13 +29,13 @@ class TrialExecutor {
   /// Called exactly once per trial, on the worker thread that ran it.
   using OnResult = std::function<void(std::size_t, const vm::VmResult&)>;
 
-  /// Trial i injects specs[i * per_run, (i + 1) * per_run). `ckpts`
-  /// non-null fast-forwards every trial from its nearest checkpoint;
-  /// null runs trials cold. `decoded`, `ckpts` and the span must outlive
-  /// the executor; `faulty` is copied.
+  /// Trial i injects specs[i * per_run, (i + 1) * per_run) under the
+  /// mode's `faulty` options (copied). Trials fast-forward from their
+  /// nearest checkpoint when `prepared` captured checkpoints and `faulty`
+  /// allows restoring them, and run cold otherwise. `prepared` and the
+  /// span must outlive the executor.
   TrialExecutor(std::span<const vm::FaultSpec> specs, std::size_t per_run,
-                const vm::PredecodedProgram& decoded,
-                const vm::CheckpointSet* ckpts, const vm::VmOptions& faulty,
+                const PreparedCampaign& prepared, const vm::VmOptions& faulty,
                 int jobs);
 
   TrialExecutor(const TrialExecutor&) = delete;

@@ -6,14 +6,20 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
+#include <map>
 
 #include "check/check.h"
 #include "check/flow.h"
 #include "check/prune.h"
 #include "check/sections.h"
+#include "fault/audit.h"
+#include "fault/campaign.h"
+#include "fault/compose.h"
 #include "pipeline/pipeline.h"
 #include "pipeline/selective.h"
 #include "support/hash.h"
+#include "telemetry/export.h"
 #include "vm/vm.h"
 #include "workloads/workloads.h"
 
@@ -225,6 +231,210 @@ TEST(Goldens, StaticReportsPinned) {
       EXPECT_EQ(static_reports_digest(build.program, plans), pin.digest[t])
           << pin.workload << "/" << pipeline::technique_name(techniques[t]);
     }
+  }
+}
+
+/// One letter per audit outcome, so the pinned bytes do not depend on
+/// the enum's numeric order.
+char outcome_letter(fault::Outcome outcome) {
+  switch (outcome) {
+    case fault::Outcome::kBenign: return 'B';
+    case fault::Outcome::kSdc: return 'S';
+    case fault::Outcome::kDetected: return 'D';
+    case fault::Outcome::kCrash: return 'C';
+  }
+  return '?';
+}
+
+/// The AuditReport bytes to_json leaves out: the per-site tallies and the
+/// pruned audit's pilot list.
+std::string audit_extras(const fault::AuditReport& report) {
+  std::string out;
+  for (const fault::SiteOutcome& site : report.site_outcomes) {
+    out += site.function + " " + std::to_string(site.block) + " " +
+           std::to_string(site.inst) + " " +
+           std::to_string(static_cast<int>(site.kind));
+    for (const fault::Outcome outcome :
+         {fault::Outcome::kDetected, fault::Outcome::kCrash,
+          fault::Outcome::kBenign, fault::Outcome::kSdc}) {
+      out += " " + std::to_string(site.of(outcome));
+    }
+    out += "\n";
+  }
+  for (const fault::AuditPilot& pilot : report.prune.pilots) {
+    out += std::to_string(pilot.site) + ":" + std::to_string(pilot.bit) +
+           outcome_letter(pilot.outcome) + "\n";
+  }
+  return out;
+}
+
+/// The deterministic bytes of one fault-injection mode on one build.
+using ModeRun = std::function<std::string(const masm::AsmProgram&)>;
+
+std::string campaign_bytes(const masm::AsmProgram& program,
+                           fault::CampaignOptions options) {
+  check::prune::PruneReport prune;
+  if (options.prune != nullptr) {
+    prune =
+        check::prune::prune_program(program, {options.vm.fault_store_data});
+    options.prune = &prune;
+  }
+  return telemetry::to_json(fault::run_campaign(program, options)).dump();
+}
+
+std::string compose_bytes(const masm::AsmProgram& program, bool audit,
+                          fault::ComposeOptions options) {
+  const check::sections::SectionMap map = check::sections::build_sections(
+      program, {options.vm.fault_store_data});
+  // A cache that records every store and never hits: pins the section
+  // keys (and with them the golden state digests) and summary bytes.
+  std::map<std::string, std::string> stored;
+  if (options.lookup != nullptr) {
+    options.lookup = [](const std::string&) -> std::optional<std::string> {
+      return std::nullopt;
+    };
+    options.store = [&stored](const std::string& key,
+                              const std::string& bytes) {
+      stored[key] = bytes;
+    };
+  }
+  const fault::ComposeReport report =
+      audit ? fault::compose_audit(program, map, options)
+            : fault::compose_campaign(program, map, options);
+  std::string out = telemetry::to_json(report).dump();
+  for (const auto& [key, bytes] : stored) out += "\n" + key + "\n" + bytes;
+  return out;
+}
+
+TEST(Goldens, FaultModesPinned) {
+  // Byte pins on every fault-injection mode: the campaign, audit and
+  // compose JSON of each workload x technique (plus the audit tallies and
+  // pilots the JSON leaves out). One digest per mode, over the 32 builds
+  // in workload-then-technique order. Any change to golden-state
+  // preparation, the trial executor, the pilot planner or the reductions
+  // that moves one byte of a report fails here. Regenerate only for a
+  // deliberate output change, from the digests this test prints.
+  constexpr int kTrials = 64;
+  // Every report is jobs-invariant by contract, so the pins hold for any
+  // worker count; 0 takes the machine's cores to keep the sweep short.
+  constexpr int kJobs = 0;
+  struct Mode {
+    const char* name;
+    ModeRun run;
+    const char* digest;
+  };
+  const auto campaign = [](auto tweak) {
+    return [tweak](const masm::AsmProgram& program) {
+      fault::CampaignOptions options;
+      options.trials = kTrials;
+      options.jobs = kJobs;
+      tweak(options);
+      return campaign_bytes(program, options);
+    };
+  };
+  // A non-null placeholder: campaign_bytes swaps in the real report.
+  static const check::prune::PruneReport kPruneMarker;
+  const auto audit = [](auto tweak) {
+    return [tweak](const masm::AsmProgram& program) {
+      fault::AuditOptions options;
+      options.jobs = kJobs;
+      tweak(options);
+      check::prune::PruneReport prune;
+      if (options.prune != nullptr) {
+        prune = check::prune::prune_program(program,
+                                            {options.vm.fault_store_data});
+        options.prune = &prune;
+      }
+      const fault::AuditReport report =
+          fault::audit_program(program, options);
+      return telemetry::to_json(report).dump() + "\n" + audit_extras(report);
+    };
+  };
+  const auto compose = [](bool audit_mode, auto tweak) {
+    return [audit_mode, tweak](const masm::AsmProgram& program) {
+      fault::ComposeOptions options;
+      options.trials = kTrials;
+      options.jobs = kJobs;
+      tweak(options);
+      return compose_bytes(program, audit_mode, options);
+    };
+  };
+  const Mode modes[] = {
+      {"campaign", campaign([](fault::CampaignOptions&) {}),
+       "8f4f81a3a3e0c91c6a93e5b183d11f8f721b0bff5b5aecad2c70a0679bf3d5af"},
+      {"campaign-store-data",
+       campaign(
+           [](fault::CampaignOptions& o) { o.vm.fault_store_data = true; }),
+       "85928f7b26a77f7a6fad20a6258177d712a9852b1e87ea0724d9cf5a0f510b07"},
+      {"campaign-2fault-burst3",
+       campaign([](fault::CampaignOptions& o) {
+         o.faults_per_run = 2;
+         o.burst = 3;
+       }),
+       "d7098e7f568e47b2eab5010707fbf3c2723476e18e1a8ae557b3d44dd55ac084"},
+      {"campaign-rejoin-off",
+       campaign(
+           [](fault::CampaignOptions& o) { o.vm.golden_rejoin = false; }),
+       "8f4f81a3a3e0c91c6a93e5b183d11f8f721b0bff5b5aecad2c70a0679bf3d5af"},
+      {"campaign-adaptive",
+       campaign([](fault::CampaignOptions& o) {
+         o.trials = 512;
+         o.max_half_width = 0.05;
+       }),
+       "b740fa28c22e089d51b2d26ac6e51ea30da4b06ac9fe97e8c8526a4d95227339"},
+      {"campaign-pruned",
+       campaign([](fault::CampaignOptions& o) { o.prune = &kPruneMarker; }),
+       "5e6c4694d7611c6928769ef2e64fcf676d6e4e8635417a2422e4143903fd3b5f"},
+      {"campaign-pruned-store-data",
+       campaign([](fault::CampaignOptions& o) {
+         o.prune = &kPruneMarker;
+         o.vm.fault_store_data = true;
+       }),
+       "6c13a337c9e1628958a5cb43dac4219d84871de47f55d913b93a6f213dd3b0fc"},
+      {"audit-strided-site-outcomes",
+       audit([](fault::AuditOptions& o) {
+         o.site_stride = 997;
+         o.site_outcomes = true;
+       }),
+       "9cd16220ba74a852df9d140f571a8599f34b8d5488c4295b19b91c606e610985"},
+      {"audit-pruned",
+       audit([](fault::AuditOptions& o) {
+         o.probe_bits = {63};
+         o.prune = &kPruneMarker;
+         o.site_outcomes = true;
+       }),
+       "a8208d18dc71b5129eac0c95c245f54f6deb6f2bf7168433e740bc2c87098c31"},
+      {"compose-cached",
+       compose(false,
+               [](fault::ComposeOptions& o) {
+                 o.lookup = [](const std::string&) { return std::nullopt; };
+               }),
+       "b93a5bb3fa1b9973804b007254d3e21cdd6b0a0bf59d5b79ec731a0b4681d1e5"},
+      {"compose-adaptive",
+       compose(false,
+               [](fault::ComposeOptions& o) {
+                 o.trials = 512;
+                 o.max_half_width = 0.05;
+               }),
+       "93cccbd61b3f257cb296106567d95df995c17bd702769af32dd8319164c0349b"},
+      {"compose-audit-strided",
+       compose(true, [](fault::ComposeOptions& o) { o.site_stride = 997; }),
+       "02b1dc5a5596ad3d8389f3539f8b1dca309b9889656d7d10c398d41c08ad0ca3"},
+  };
+  const Technique techniques[] = {Technique::kNone, Technique::kIrEddi,
+                                  Technique::kHybrid, Technique::kFerrum};
+  std::vector<Sha256> digests(std::size(modes));
+  for (const workloads::Workload& workload : workloads::all()) {
+    for (const Technique technique : techniques) {
+      const auto build = pipeline::build(workload.source, technique);
+      for (std::size_t m = 0; m < std::size(modes); ++m) {
+        digests[m].update(modes[m].run(build.program));
+        digests[m].update("\n");
+      }
+    }
+  }
+  for (std::size_t m = 0; m < std::size(modes); ++m) {
+    EXPECT_EQ(digests[m].hex_digest(), modes[m].digest) << modes[m].name;
   }
 }
 

@@ -26,6 +26,7 @@
 #include "service/proto.h"
 #include "service/service.h"
 #include "support/hash.h"
+#include "support/parallel.h"
 #include "support/transport.h"
 #include "telemetry/export.h"
 #include "telemetry/json.h"
@@ -399,6 +400,24 @@ TEST(Proto, CellJsonRejectsOutOfRangeAndNegativeIntegers) {
   EXPECT_TRUE(service::cell_from_json(fine, cell, error)) << error;
   EXPECT_EQ(cell.trials, 2147483647);
   EXPECT_EQ(cell.seed, 0xfeedfacecafebeefULL);
+}
+
+TEST(Proto, CellJobsIsClampedToTheMachine) {
+  // take_int accepts jobs up to INT_MAX and validate_cell only rejects
+  // values below 1, so one frame could ask for ~2^31 pool threads. The
+  // clamp happens when the cell becomes campaign options; nothing here
+  // runs the cell or starts a thread.
+  telemetry::Json json = telemetry::Json::object();
+  json["workload"] = "bfs";
+  json["jobs"] = static_cast<std::int64_t>(2147483647);
+  CampaignCell cell;
+  std::string error;
+  ASSERT_TRUE(service::cell_from_json(json, cell, error)) << error;
+  EXPECT_EQ(cell.jobs, 2147483647);
+  EXPECT_EQ(fault::to_campaign_options(cell).jobs,
+            ThreadPool::hardware_workers());
+  cell.jobs = 1;
+  EXPECT_EQ(fault::to_campaign_options(cell).jobs, 1);
 }
 
 // ---------------------------------------------------------------------
