@@ -189,14 +189,16 @@ void check_flow_accuracy(Json& artifact) {
 }
 
 /// Schema + invariant check on bench_vm's dispatch telemetry: the
-/// wallclock section must carry the per-technique dispatch rates and
-/// campaign throughputs, and the metrics section must assert that switch
-/// vs threaded dispatch and cold vs checkpointed campaigns agree exactly.
+/// wallclock section must carry the per-technique dispatch rates, timing-
+/// model rates and campaign throughputs, and the metrics section must
+/// assert that switch vs threaded dispatch, timing vs plain switch runs
+/// and cold vs checkpointed campaigns agree exactly.
 void check_bench_vm(const Json& artifact) {
   const Json* metrics = artifact.find("metrics");
   const Json* wallclock = artifact.find("wallclock");
   if (metrics == nullptr || wallclock == nullptr) return;  // already failed
-  for (const char* section : {"dispatch_equivalent", "campaign_equivalent"}) {
+  for (const char* section :
+       {"dispatch_equivalent", "timing_equivalent", "campaign_equivalent"}) {
     const Json* flags = metrics->find(section);
     if (flags == nullptr) {
       fail(std::string("bench_vm metrics lack '") + section + "'");
@@ -208,8 +210,8 @@ void check_bench_vm(const Json& artifact) {
     for (const auto& [technique, flag] : flags->fields()) {
       if (!flag.as_bool()) {
         fail("bench_vm " + std::string(section) + "['" + technique +
-             "'] is false — dispatch/checkpoint paths diverged from the "
-             "reference interpreter");
+             "'] is false — dispatch/timing/checkpoint paths diverged from "
+             "the reference interpreter");
       }
     }
   }
@@ -223,6 +225,19 @@ void check_bench_vm(const Json& artifact) {
             "threaded_minst_per_second", "speedup"}) {
         if (row.find(key) == nullptr) {
           fail("bench_vm dispatch['" + technique + "'] lacks '" + key + "'");
+        }
+      }
+    }
+  }
+  const Json* timing = wallclock->find("timing");
+  if (timing == nullptr || timing->fields().empty()) {
+    fail("bench_vm wallclock lacks a populated 'timing' section");
+  } else {
+    for (const auto& [technique, row] : timing->fields()) {
+      for (const char* key : {"timing_minst_per_second",
+                              "switch_minst_per_second", "cost_ratio"}) {
+        if (row.find(key) == nullptr) {
+          fail("bench_vm timing['" + technique + "'] lacks '" + key + "'");
         }
       }
     }

@@ -1,5 +1,6 @@
 // Substrate microbenchmarks: VM interpretation throughput (switch vs
-// threaded dispatch), the cost of enabling the timing model, and campaign
+// threaded dispatch), the cost of enabling the timing model (per-technique
+// `timing` rows), and campaign
 // trial throughput cold vs checkpointed vs threaded with golden rejoin,
 // per technique. Not a paper experiment, but documents what one
 // fault-injection trial costs — and what the snapshot/fast-forward engine
@@ -42,12 +43,10 @@ void BM_VmRun(benchmark::State& state, Technique technique, bool timing,
                           state.iterations());
 }
 
-/// Best-of-`reps` Minst/s for one dispatch mode (steady-clock; the
+/// Best-of-`reps` Minst/s of one run configuration (steady-clock; the
 /// best-of filters scheduler noise on the shared CI machine).
 double minst_per_second(const masm::AsmProgram& program,
-                        vm::DispatchMode dispatch, int reps) {
-  vm::VmOptions options;
-  options.dispatch = dispatch;
+                        const vm::VmOptions& options, int reps) {
   double best = 0.0;
   for (int rep = 0; rep < reps; ++rep) {
     const auto start = std::chrono::steady_clock::now();
@@ -116,11 +115,9 @@ int main(int argc, char** argv) {
                        th_run.steps == sw_run.steps &&
                        th_run.fi_sites == sw_run.fi_sites &&
                        th_run.return_value == sw_run.return_value;
-          threaded_rate =
-              minst_per_second(build.program, vm::DispatchMode::kThreaded, 3);
+          threaded_rate = minst_per_second(build.program, th, 3);
         }
-        const double switch_rate =
-            minst_per_second(build.program, vm::DispatchMode::kSwitch, 3);
+        const double switch_rate = minst_per_second(build.program, sw, 3);
         const char* name = pipeline::technique_name(technique);
         report.metrics()["dispatch_equivalent"][name] = equivalent;
         telemetry::Json row = telemetry::Json::object();
@@ -134,6 +131,29 @@ int main(int argc, char** argv) {
                     "Minst/s   speedup %5.2fx\n",
                     name, switch_rate, threaded_rate,
                     switch_rate > 0.0 ? threaded_rate / switch_rate : 0.0);
+
+        // Timing-model cost: the same golden run with the port/dependency
+        // model on (it always runs in the switch loop). The model only
+        // observes execution, so output, steps and status must equal the
+        // plain switch run's.
+        vm::VmOptions timed;
+        timed.timing = true;
+        const auto timed_run = vm::run(build.program, timed);
+        report.metrics()["timing_equivalent"][name] =
+            sw_run.ok() && timed_run.status == sw_run.status &&
+            timed_run.output == sw_run.output &&
+            timed_run.steps == sw_run.steps;
+        const double timing_rate = minst_per_second(build.program, timed, 3);
+        telemetry::Json timing_row = telemetry::Json::object();
+        timing_row["timing_minst_per_second"] = timing_rate;
+        timing_row["switch_minst_per_second"] = switch_rate;
+        timing_row["cost_ratio"] =
+            timing_rate > 0.0 ? switch_rate / timing_rate : 0.0;
+        report.wallclock()["timing"][name] = timing_row;
+        std::printf("timing   %-8s model  %7.1f Minst/s   cost vs switch "
+                    "%5.2fx\n",
+                    name, timing_rate,
+                    timing_rate > 0.0 ? switch_rate / timing_rate : 0.0);
       }
     }
 

@@ -558,21 +558,25 @@ int main(int argc, char** argv) {
       // report, so one artifact holds the full static fault-site table:
       // protection status (check) + dead-bit mask and equivalence class
       // (prune) per site.
+      // Each report is computed once: sections and flow fold in the
+      // check report above and the prune report here.
       telemetry::Json out = check::to_json(report);
-      out["prune"] = check::prune::to_json(
-          check::prune::prune_program(build.program), build.program);
+      const check::prune::PruneReport pruned =
+          check::prune::prune_program(build.program);
+      out["prune"] = check::prune::to_json(pruned, build.program);
       // The section decomposition rides along: every static fault site
       // is tagged with its section id, and each section carries its
       // dataflow interface (live-in/live-out, sync boundary kind).
-      out["sections"] =
-          check::sections::to_json(check::sections::build_sections(
-                                       build.program),
-                                   build.program);
+      const check::sections::SectionMap sections =
+          check::sections::build_sections(build.program, {}, report);
+      out["sections"] = check::sections::to_json(sections, build.program);
       // ... and the flow predictions: per site the reachable-sink mask
       // and the predicted dynamic outcome (masked/detected/crash-prone/
       // sdc-vulnerable), plus the profile counters.
       out["flow"] = check::flow::to_json(
-          check::flow::flow_program(build.program), build.program);
+          check::flow::flow_program(build.program, {}, pruned, report,
+                                    sections),
+          build.program);
       std::fputs(out.dump().c_str(), stdout);
       std::fputc('\n', stdout);
     } else {
@@ -650,12 +654,17 @@ int main(int argc, char** argv) {
     // Section decomposition next to the liveness/equivalence table: per
     // static site the owning section id, per section its interface
     // (live-in/live-out sets, sync boundary kind, memory footprint).
-    out["sections"] = check::sections::to_json(
-        check::sections::build_sections(build.program), build.program);
+    // Sections and flow share one check report.
+    const check::CheckReport checked = check::check_program(build.program);
+    const check::sections::SectionMap sections =
+        check::sections::build_sections(build.program, {}, checked);
+    out["sections"] = check::sections::to_json(sections, build.program);
     // Flow predictions next to both: the per-site reachable-sink mask
     // and predicted dynamic outcome.
     out["flow"] = check::flow::to_json(
-        check::flow::flow_program(build.program), build.program);
+        check::flow::flow_program(build.program, {}, report, checked,
+                                  sections),
+        build.program);
     std::fputs(out.dump().c_str(), stdout);
     std::fputc('\n', stdout);
     if (!stats_path.empty()) {

@@ -1,6 +1,7 @@
 #include "check/flow.h"
 
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -477,27 +478,19 @@ Prediction predict_from_sinks(std::uint16_t sinks) {
   return Prediction::kMasked;
 }
 
+/// `pruned`, `checked` and `section_map` are the companion analyses the
+/// predictions fold in: prune's dead-bit proof, check's protected/benign
+/// classification, and the section decomposition for the per-section
+/// profile. All three share the store-data knob so site enumerations
+/// line up.
 FlowReport build_report(const masm::ProgramTables& tables,
-                        const Solver& solver, const FlowOptions& opts) {
+                        const Solver& solver, const FlowOptions& opts,
+                        const prune::PruneReport& pruned,
+                        const CheckReport& checked,
+                        const sections::SectionMap& section_map) {
   const AsmProgram& prog = tables.program();
   FlowReport report;
   report.store_data_sites = opts.store_data_sites;
-
-  // The companion analyses the predictions fold in: prune's dead-bit
-  // proof, check's protected/benign classification, and the section
-  // decomposition for the per-section profile (which folds in the same
-  // check report). All three share the store-data knob so site
-  // enumerations line up.
-  prune::PruneOptions prune_options;
-  prune_options.store_data_sites = opts.store_data_sites;
-  const prune::PruneReport pruned = prune::prune_program(prog, prune_options);
-  CheckOptions check_options;
-  check_options.store_data_sites = opts.store_data_sites;
-  const CheckReport checked = check_program(prog, check_options);
-  sections::SectionOptions section_options;
-  section_options.store_data_sites = opts.store_data_sites;
-  const sections::SectionMap section_map =
-      sections::build_sections(prog, section_options, checked);
 
   // check::SiteRecord keys by function *name*; index for O(1) joins.
   std::map<std::tuple<std::string, int, int, int>, SiteStatus> check_status;
@@ -607,6 +600,27 @@ const char* prediction_basis_name(PredictionBasis basis) {
 
 FlowReport flow_program(const AsmProgram& program,
                         const FlowOptions& options) {
+  prune::PruneOptions prune_options;
+  prune_options.store_data_sites = options.store_data_sites;
+  CheckOptions check_options;
+  check_options.store_data_sites = options.store_data_sites;
+  const CheckReport checked = check_program(program, check_options);
+  sections::SectionOptions section_options;
+  section_options.store_data_sites = options.store_data_sites;
+  return flow_program(program, options,
+                      prune::prune_program(program, prune_options), checked,
+                      sections::build_sections(program, section_options,
+                                               checked));
+}
+
+FlowReport flow_program(const AsmProgram& program, const FlowOptions& options,
+                        const prune::PruneReport& pruned,
+                        const CheckReport& checked,
+                        const sections::SectionMap& section_map) {
+  if (pruned.store_data_sites != options.store_data_sites) {
+    throw std::invalid_argument(
+        "flow_program: prune report enumerates store-data sites differently");
+  }
   const masm::ProgramTables tables(program);
   Solver solver(tables);
   // Summaries run under identity exits: per location, the sinks the
@@ -617,7 +631,7 @@ FlowReport flow_program(const AsmProgram& program,
   FlowState main_exit;
   main_exit.loc[gpr_loc(Gpr::kRax)].merge(Cell::sink(kSinkOutput));
   solver.solve({FlowState::identity_exits()}, main_exit);
-  return build_report(tables, solver, options);
+  return build_report(tables, solver, options, pruned, checked, section_map);
 }
 
 namespace {

@@ -50,6 +50,16 @@
 #include "masm/masm.h"
 #include "telemetry/json.h"
 
+namespace ferrum::check {
+struct CheckReport;
+namespace prune {
+struct PruneReport;
+}
+namespace sections {
+struct SectionMap;
+}
+}  // namespace ferrum::check
+
 namespace ferrum::check::flow {
 
 // ------------------------------------------------------------- sinks ----
@@ -156,6 +166,16 @@ struct FlowReport {
 /// Deterministic: depends only on the program and options.
 FlowReport flow_program(const masm::AsmProgram& program,
                         const FlowOptions& options = {});
+
+/// The same analysis folding in reports the caller already has. Each must
+/// come from `program` with store_data_sites equal to
+/// options.store_data_sites (throws std::invalid_argument when the prune
+/// report's knob differs); `section_map` may fold in `checked`.
+FlowReport flow_program(const masm::AsmProgram& program,
+                        const FlowOptions& options,
+                        const prune::PruneReport& pruned,
+                        const CheckReport& checked,
+                        const sections::SectionMap& section_map);
 
 /// Deterministic JSON view: profile counters (whole-program / per
 /// function / per section) and the full site table.

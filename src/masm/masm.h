@@ -13,6 +13,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -207,11 +208,39 @@ std::string print(const AsmProgram& program);
 // Register read/write sets, shared by liveness analysis, the protection
 // passes and the VM's fault-site enumeration.
 
+/// Fixed-capacity list stored inline, so effects_of allocates nothing:
+/// liveness, prune, sections, flow, the verifiers and the protection pass
+/// call it per instruction per sweep. push_back past the capacity throws
+/// std::length_error rather than writing past the array.
+template <typename T, std::size_t Capacity>
+class InlineList {
+ public:
+  void push_back(T value) {
+    if (size_ == Capacity) {
+      throw std::length_error("masm::InlineList: capacity exceeded");
+    }
+    items_[size_++] = value;
+  }
+  const T* begin() const { return items_.data(); }
+  const T* end() const { return items_.data() + size_; }
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  const T& operator[](std::size_t index) const { return items_[index]; }
+
+ private:
+  std::array<T, Capacity> items_{};
+  std::size_t size_ = 0;
+};
+
+/// Capacity of each RegEffects list; the widest shape is `call`, which
+/// writes all 16 xmm registers.
+constexpr std::size_t kMaxRegEffects = 16;
+
 struct RegEffects {
-  std::vector<Gpr> gpr_reads;
-  std::vector<Gpr> gpr_writes;
-  std::vector<int> xmm_reads;
-  std::vector<int> xmm_writes;
+  InlineList<Gpr, kMaxRegEffects> gpr_reads;
+  InlineList<Gpr, kMaxRegEffects> gpr_writes;
+  InlineList<int, kMaxRegEffects> xmm_reads;
+  InlineList<int, kMaxRegEffects> xmm_writes;
   bool reads_flags = false;
   bool writes_flags = false;
   bool reads_mem = false;

@@ -669,7 +669,10 @@ class Engine::Impl {
     output_chain_ = 0;
     halted_ = false;
     timing_.reset();
-    if (options.timing) timing_.emplace(options.timing_params);
+    if (options.timing) {
+      timing_.emplace(options.timing_params);
+      timing_->load(program_);
+    }
     profile_ = VmProfile{};
     if (options.profile) {
       block_hits_.assign(program_.source().functions.size(), {});
@@ -760,7 +763,7 @@ class Engine::Impl {
       touched_addr_ = 0;
       next_pc_ = pc_ + 1;
       exec(inst, d);
-      if (timing_on) timing_->step(inst, touched_addr_);
+      if (timing_on) timing_->step_at(pc_, touched_addr_);
       pc_ = next_pc_;
       if (halted_) return LoopExit::kHalted;
       if (capture != nullptr && fi_sites_ >= next_capture_at_) {

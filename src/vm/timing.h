@@ -18,7 +18,9 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
+#include "masm/cfg.h"
 #include "masm/masm.h"
 
 namespace ferrum::vm {
@@ -97,17 +99,48 @@ struct TimingStats {
   std::uint64_t instructions = 0;
 };
 
+/// Everything step() needs from one static instruction, resolved once:
+/// the registers it reads and writes (as LiveSet masks, with the narrow-
+/// def-is-a-use rule of use_def_of), its memory direction, its port class,
+/// its latency under the model's clamped TimingParams and its provenance.
+struct TimingRecord {
+  masm::LiveSet use = 0;
+  masm::LiveSet def = 0;
+  int latency = 0;
+  PortClass port = PortClass::kAlu;
+  masm::InstOrigin origin = masm::InstOrigin::kFromIR;
+  bool reads_mem = false;
+  bool writes_mem = false;
+};
+
+class PredecodedProgram;
+
 /// Incremental cycle estimator fed one executed instruction at a time by
-/// the VM (with the registers it read/wrote and the memory cell touched).
+/// the VM (with the memory cell it touched). A run loads the predecoded
+/// program once, describing every static instruction into a record per
+/// flat pc, so the per-step work is the dependence and port arithmetic.
 class TimingModel {
  public:
   /// Unit counts are clamped into [1, kMaxUnitsPerClass] and issue_width
   /// to >= 1; params() reports the values actually used.
   explicit TimingModel(const TimingParams& params);
 
+  /// Builds the per-pc record table for `program` (sentinel pcs get an
+  /// empty record; the VM never steps them).
+  void load(const PredecodedProgram& program);
+
+  /// The static facts of `inst` under this model's parameters.
+  TimingRecord describe(const masm::AsmInst& inst) const;
+
   /// Accounts one dynamic instruction. `addr` is the 8-byte-aligned
   /// address of a memory access (0 when none).
-  void step(const masm::AsmInst& inst, std::uint64_t addr);
+  void step(const TimingRecord& record, std::uint64_t addr);
+  /// Accounts the instruction at flat pc `pc` of the loaded program.
+  void step_at(std::int32_t pc, std::uint64_t addr);
+  /// Describes, then steps: for callers without a loaded program.
+  void step(const masm::AsmInst& inst, std::uint64_t addr) {
+    step(describe(inst), addr);
+  }
 
   std::uint64_t cycles() const { return last_completion_; }
   const TimingStats& stats() const { return stats_; }
@@ -118,10 +151,11 @@ class TimingModel {
   int latency(const masm::AsmInst& inst) const;
 
   TimingParams params_;
-  // Ready cycle per architectural register.
-  std::uint64_t gpr_ready_[masm::kGprCount] = {};
-  std::uint64_t xmm_ready_[masm::kXmmCount] = {};
-  std::uint64_t flags_ready_ = 0;
+  // Clamped unit count per port class.
+  int units_[kPortClassCount] = {};
+  std::vector<TimingRecord> records_;
+  // Ready cycle per LiveSet bit: GPRs, XMMs, then FLAGS.
+  std::uint64_t reg_ready_[33] = {};
   // Frontend fetch counter (program order, issue_width per cycle).
   std::uint64_t fetched_ = 0;
   // Next-free cycle per execution unit, per port class.

@@ -90,7 +90,9 @@ struct VmOptions {
   /// none — so this is off by default; turning it on gives the extended
   /// fault model evaluated by bench/ablation_storedata.
   bool fault_store_data = false;
-  /// Run the timing model alongside execution (adds ~2x cost).
+  /// Run the timing model alongside execution. Timing runs take the
+  /// switch loop; over the 32 Table II builds (Release, 4-core Xeon, best
+  /// of 5 per build) one costs ~1.45x a switch-loop golden run.
   bool timing = false;
   TimingParams timing_params;
   /// Collect a VmProfile (instruction mix, site tallies, hot blocks)

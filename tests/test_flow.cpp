@@ -19,10 +19,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "check/check.h"
 #include "check/flow.h"
+#include "check/prune.h"
+#include "check/sections.h"
 #include "eddi/asm_protect.h"
 #include "masm/parser.h"
 #include "pipeline/pipeline.h"
@@ -216,6 +220,54 @@ TEST(FlowDeterminism, SerializationIsStableAndKnobBlind) {
   unsetenv("FERRUM_DISPATCH");
   EXPECT_EQ(first_doc, second_doc);
   EXPECT_FALSE(first_doc.empty());
+}
+
+// Callers that already hold the check, prune and section reports (the
+// lint=json and sites views) pass them in; the report must be the one
+// the program-only form computes for itself.
+TEST(FlowDeterminism, ReportOverloadMatchesProgramOnlyForm) {
+  for (const workloads::Workload& workload : workloads::all()) {
+    for (const Technique technique :
+         {Technique::kNone, Technique::kIrEddi, Technique::kHybrid,
+          Technique::kFerrum}) {
+      const auto build = pipeline::build(workload.source, technique);
+      for (const bool store_data : {false, true}) {
+        const check::CheckReport checked =
+            check::check_program(build.program, {store_data});
+        const check::prune::PruneReport pruned =
+            check::prune::prune_program(build.program, {store_data});
+        const check::sections::SectionMap sections =
+            check::sections::build_sections(build.program, {store_data},
+                                            checked);
+        const check::flow::FlowOptions options{store_data};
+        EXPECT_EQ(
+            check::flow::to_json(
+                check::flow::flow_program(build.program, options, pruned,
+                                          checked, sections),
+                build.program)
+                .dump(),
+            check::flow::to_json(
+                check::flow::flow_program(build.program, options),
+                build.program)
+                .dump())
+            << workload.name << "/" << pipeline::technique_name(technique)
+            << " store_data=" << store_data;
+      }
+    }
+  }
+}
+
+TEST(FlowDeterminism, ReportOverloadRejectsMismatchedPruneKnob) {
+  const auto build =
+      pipeline::build(workloads::all().front().source, Technique::kNone);
+  const check::CheckReport checked = check::check_program(build.program);
+  const check::sections::SectionMap sections =
+      check::sections::build_sections(build.program, {}, checked);
+  const check::prune::PruneReport pruned =
+      check::prune::prune_program(build.program, {true});
+  EXPECT_THROW(check::flow::flow_program(build.program, {}, pruned, checked,
+                                         sections),
+               std::invalid_argument);
 }
 
 // ------------------------------------------------- selective planner --

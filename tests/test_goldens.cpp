@@ -438,6 +438,71 @@ TEST(Goldens, FaultModesPinned) {
   }
 }
 
+/// Appends the timing model's output of one run to `sha`: cycles, then
+/// every TimingStats array and counter, as decimal text.
+void hash_timing(Sha256& sha, const vm::VmResult& result) {
+  const vm::TimingStats& s = *result.timing_stats;
+  std::string out = std::to_string(result.cycles);
+  const auto add = [&out](std::uint64_t value) {
+    out += " " + std::to_string(value);
+  };
+  for (int p = 0; p < vm::kPortClassCount; ++p) {
+    for (int o = 0; o < masm::kInstOriginCount; ++o) {
+      add(s.issues[p][o]);
+      add(s.latency_cycles[p][o]);
+    }
+    add(s.busy_cycles[p]);
+  }
+  add(s.stall_dependence);
+  add(s.stall_port);
+  add(s.stall_issue_width);
+  add(s.instructions);
+  sha.update(out);
+  sha.update("\n");
+}
+
+TEST(Goldens, TimingModelPinned) {
+  // Byte pins on the timing model: cycles and every TimingStats field of
+  // each workload x technique, under default parameters and under one
+  // non-default set (alu_units 9 is clamped to kMaxUnitsPerClass). Fig 11
+  // and modelled_overhead_ferrum are folds over these numbers, so a
+  // host-speed change to the model must leave every digest in place.
+  vm::TimingParams narrow;
+  narrow.issue_width = 2;
+  narrow.alu_units = 9;
+  narrow.vec_units = 1;
+  struct Pin {
+    const char* name;
+    vm::TimingParams params;
+    const char* digest;
+  };
+  const Pin pins[] = {
+      {"default", vm::TimingParams{},
+       "340408dfe91aa8b0a18214ca79786d06030b6fcd60ba1e4606e78352805cb0fb"},
+      {"issue2-alu9-vec1", narrow,
+       "e44d3f28866c83a985d1243b58e43e7350ffba3d1e6549c38604b130f4629429"},
+  };
+  const Technique techniques[] = {Technique::kNone, Technique::kIrEddi,
+                                  Technique::kHybrid, Technique::kFerrum};
+  std::vector<Sha256> digests(std::size(pins));
+  for (const workloads::Workload& workload : workloads::all()) {
+    for (const Technique technique : techniques) {
+      const auto build = pipeline::build(workload.source, technique);
+      for (std::size_t p = 0; p < std::size(pins); ++p) {
+        vm::VmOptions options;
+        options.timing = true;
+        options.timing_params = pins[p].params;
+        const vm::VmResult result = vm::run(build.program, options);
+        ASSERT_TRUE(result.ok()) << workload.name;
+        hash_timing(digests[p], result);
+      }
+    }
+  }
+  for (std::size_t p = 0; p < std::size(pins); ++p) {
+    EXPECT_EQ(digests[p].hex_digest(), pins[p].digest) << pins[p].name;
+  }
+}
+
 TEST(Trace, RecordsExecutedInstructions) {
   auto build = pipeline::build(
       "int main() { print_int(7); return 0; }", Technique::kNone);

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 #include "masm/masm.h"
 #include "masm/parser.h"
 #include "support/source_location.h"
@@ -148,6 +151,86 @@ TEST(Effects, PushPopTouchRsp) {
   AsmInst pop(Op::kPop, {Operand::make_reg(Gpr::kRbx, 8)});
   fx = effects_of(pop);
   EXPECT_TRUE(fx.reads_mem);
+}
+
+// The widest shapes, list by list and in order: RegEffects stores its
+// lists inline, so these are the cases that size it.
+TEST(Effects, CallReportsAbiReadsAndClobbers) {
+  const RegEffects fx =
+      effects_of(AsmInst(Op::kCall, {Operand::make_label("callee")}));
+  EXPECT_EQ(std::vector<Gpr>(fx.gpr_reads.begin(), fx.gpr_reads.end()),
+            (std::vector<Gpr>{Gpr::kRdi, Gpr::kRsi, Gpr::kRdx, Gpr::kRcx,
+                              Gpr::kR8, Gpr::kR9, Gpr::kRsp}));
+  EXPECT_EQ(std::vector<Gpr>(fx.gpr_writes.begin(), fx.gpr_writes.end()),
+            (std::vector<Gpr>{Gpr::kRax, Gpr::kRcx, Gpr::kRdx, Gpr::kRsi,
+                              Gpr::kRdi, Gpr::kR8, Gpr::kR9, Gpr::kR10,
+                              Gpr::kR11}));
+  EXPECT_EQ(std::vector<int>(fx.xmm_reads.begin(), fx.xmm_reads.end()),
+            (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+  EXPECT_EQ(std::vector<int>(fx.xmm_writes.begin(), fx.xmm_writes.end()),
+            (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13,
+                              14, 15}));
+  EXPECT_EQ(fx.xmm_writes.size(), kMaxRegEffects);
+  EXPECT_TRUE(fx.writes_flags);
+}
+
+TEST(Effects, RetReadsReturnValueAndCalleeSaved) {
+  const RegEffects fx = effects_of(AsmInst(Op::kRet, {}));
+  EXPECT_EQ(std::vector<Gpr>(fx.gpr_reads.begin(), fx.gpr_reads.end()),
+            (std::vector<Gpr>{Gpr::kRax, Gpr::kRbx, Gpr::kRsp, Gpr::kRbp,
+                              Gpr::kR12, Gpr::kR13, Gpr::kR14, Gpr::kR15}));
+  EXPECT_TRUE(fx.gpr_writes.empty());
+  EXPECT_EQ(std::vector<int>(fx.xmm_reads.begin(), fx.xmm_reads.end()),
+            (std::vector<int>{0}));
+  EXPECT_TRUE(fx.xmm_writes.empty());
+  EXPECT_TRUE(fx.reads_mem);
+}
+
+TEST(Effects, MemoryReadModifyWriteReadsAddressTwice) {
+  MemRef mem;
+  mem.base = Gpr::kRbx;
+  mem.index = Gpr::kRcx;
+  mem.scale = 8;
+  const RegEffects fx = effects_of(AsmInst(
+      Op::kAdd, {Operand::make_reg(Gpr::kRax, 8), Operand::make_mem(mem, 8)}));
+  // Source, then the destination's address as read, then again as the
+  // store's address.
+  EXPECT_EQ(std::vector<Gpr>(fx.gpr_reads.begin(), fx.gpr_reads.end()),
+            (std::vector<Gpr>{Gpr::kRax, Gpr::kRbx, Gpr::kRcx, Gpr::kRbx,
+                              Gpr::kRcx}));
+  EXPECT_TRUE(fx.gpr_writes.empty());
+  EXPECT_TRUE(fx.writes_mem);
+  EXPECT_TRUE(fx.writes_flags);
+}
+
+TEST(Effects, PinsrqFromMemoryIsXmmReadModifyWrite) {
+  MemRef mem;
+  mem.base = Gpr::kRbx;
+  mem.index = Gpr::kRcx;
+  mem.scale = 8;
+  const RegEffects fx = effects_of(
+      AsmInst(Op::kPinsrq, {Operand::make_imm(1), Operand::make_mem(mem, 8),
+                            Operand::make_xmm(3)}));
+  EXPECT_EQ(std::vector<Gpr>(fx.gpr_reads.begin(), fx.gpr_reads.end()),
+            (std::vector<Gpr>{Gpr::kRbx, Gpr::kRcx}));
+  EXPECT_TRUE(fx.gpr_writes.empty());
+  EXPECT_EQ(std::vector<int>(fx.xmm_reads.begin(), fx.xmm_reads.end()),
+            (std::vector<int>{3}));
+  EXPECT_EQ(std::vector<int>(fx.xmm_writes.begin(), fx.xmm_writes.end()),
+            (std::vector<int>{3}));
+  EXPECT_TRUE(fx.reads_mem);
+  EXPECT_FALSE(fx.writes_mem);
+}
+
+TEST(Effects, InlineListOverflowThrows) {
+  RegEffects fx;
+  for (std::size_t i = 0; i < kMaxRegEffects; ++i) {
+    fx.xmm_writes.push_back(static_cast<int>(i));
+  }
+  EXPECT_THROW(fx.xmm_writes.push_back(0), std::length_error);
+  EXPECT_EQ(fx.xmm_writes.size(), kMaxRegEffects);
+  EXPECT_EQ(fx.xmm_writes[kMaxRegEffects - 1],
+            static_cast<int>(kMaxRegEffects - 1));
 }
 
 TEST(RoundTrip, ParsePrintedProgram) {
